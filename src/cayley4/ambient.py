@@ -12,22 +12,27 @@ form is
 
     rho = - i d dbar log det(h),
 
-realized as a real central-difference Hessian of log det(h); the sign is
-the one that makes the Fubini-Study chart Einstein with positive s
-(rho = (5/c) omega for the potential c log(1 + |z|^2)).
+realized as a central-difference Hessian of log det(h) (step h_curv); the
+sign is the one that makes the Fubini-Study chart Einstein with positive
+s (rho = (5/c) omega for the potential c log(1 + |z|^2)).  Christoffel
+symbols difference the metric with step h_metric; all stencils are those
+of the private `_fd` module.
 
 Built-in charts supply the Hermitian block in closed form; charts defined
 only by a potential fall back to central differences for it (step
-h_metric), at the cost of less accurate curvature.
+h_metric), at the cost of less accurate curvature.  Non-finite points
+and points outside the chart ball raise ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import _fd
 from .multilinear import DIM
 from .hermitian import standard_structure
 
@@ -44,6 +49,16 @@ H_METRIC_DEFAULT = 1e-4
 H_CURV_DEFAULT = 1e-3
 
 
+def metric_from_hermitian(h: np.ndarray) -> np.ndarray:
+    """Real 8x8 metric assembled from the Hermitian block."""
+    g = np.zeros((DIM, DIM))
+    g[0::2, 0::2] = 2.0 * h.real
+    g[1::2, 1::2] = 2.0 * h.real
+    g[0::2, 1::2] = 2.0 * h.imag
+    g[1::2, 0::2] = -2.0 * h.imag
+    return g
+
+
 @dataclass(frozen=True)
 class KahlerChart:
     name: str
@@ -54,6 +69,9 @@ class KahlerChart:
     h_curv: float = H_CURV_DEFAULT
 
     def check_inside(self, p: np.ndarray) -> None:
+        # cheaper than isfinite().all(); only a sum past 1e308 misfires
+        if not math.isfinite(np.add.reduce(p)):
+            raise ValueError("point has non-finite coordinates")
         if self.radius is not None and np.linalg.norm(p) >= self.radius:
             raise ValueError(
                 f"point with |p| = {np.linalg.norm(p):.4f} is outside the "
@@ -63,25 +81,7 @@ class KahlerChart:
 
     def _hermitian_fd(self, p: np.ndarray) -> np.ndarray:
         """h_{j kbar} from the real Hessian of the potential (central diffs)."""
-        h = self.h_metric
-        p = np.asarray(p, dtype=float)
-        hess = np.empty((DIM, DIM))
-        k0 = self.potential(p)
-        for a in range(DIM):
-            ea = np.zeros(DIM)
-            ea[a] = h
-            hess[a, a] = (self.potential(p + ea) - 2.0 * k0
-                          + self.potential(p - ea)) / (h * h)
-        for a in range(DIM):
-            for b in range(a + 1, DIM):
-                ea = np.zeros(DIM)
-                eb = np.zeros(DIM)
-                ea[a] = h
-                eb[b] = h
-                v = (self.potential(p + ea + eb) - self.potential(p + ea - eb)
-                     - self.potential(p - ea + eb) + self.potential(p - ea - eb)
-                     ) / (4.0 * h * h)
-                hess[a, b] = hess[b, a] = v
+        hess = _fd.hessian(self.potential, p, self.h_metric)
         sxx = hess[0::2, 0::2]
         syy = hess[1::2, 1::2]
         sxy = hess[0::2, 1::2]
@@ -95,14 +95,7 @@ class KahlerChart:
         return self._hermitian_fd(p)
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
-        """Real 8x8 metric assembled from the Hermitian block."""
-        h = self.hermitian_at(p)
-        g = np.zeros((DIM, DIM))
-        g[0::2, 0::2] = 2.0 * h.real
-        g[1::2, 1::2] = 2.0 * h.real
-        g[0::2, 1::2] = 2.0 * h.imag
-        g[1::2, 0::2] = -2.0 * h.imag
-        return g
+        return metric_from_hermitian(self.hermitian_at(p))
 
     def omega_mat_at(self, p: np.ndarray) -> np.ndarray:
         j = standard_structure().j
@@ -113,13 +106,7 @@ class KahlerChart:
     def metric_derivatives(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
         """dg[c, a, b] = d g_ab / d p_c by central differences."""
         h = self.h_metric if step is None else step
-        p = np.asarray(p, dtype=float)
-        dg = np.empty((DIM, DIM, DIM))
-        for c in range(DIM):
-            ec = np.zeros(DIM)
-            ec[c] = h
-            dg[c] = (self.metric_at(p + ec) - self.metric_at(p - ec)) / (2.0 * h)
-        return dg
+        return _fd.gradient(self.metric_at, p, h)
 
     def christoffel_at(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
         """Gamma[a, b, c] = Gamma^a_{bc} of the Levi-Civita connection."""
@@ -139,24 +126,7 @@ class KahlerChart:
     def ricci_form_at(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
         """Ricci form matrix rho(e_a, e_b) = -(i d dbar log det h)(e_a, e_b)."""
         h = self.h_curv if step is None else step
-        p = np.asarray(p, dtype=float)
-        hess = np.empty((DIM, DIM))
-        l0 = self.log_det_h(p)
-        for a in range(DIM):
-            ea = np.zeros(DIM)
-            ea[a] = h
-            hess[a, a] = (self.log_det_h(p + ea) - 2.0 * l0
-                          + self.log_det_h(p - ea)) / (h * h)
-        for a in range(DIM):
-            for b in range(a + 1, DIM):
-                ea = np.zeros(DIM)
-                eb = np.zeros(DIM)
-                ea[a] = h
-                eb[b] = h
-                v = (self.log_det_h(p + ea + eb) - self.log_det_h(p + ea - eb)
-                     - self.log_det_h(p - ea + eb) + self.log_det_h(p - ea - eb)
-                     ) / (4.0 * h * h)
-                hess[a, b] = hess[b, a] = v
+        hess = _fd.hessian(self.log_det_h, p, h)
         j = standard_structure().j
         ginv_part = 0.5 * (hess + j.T @ hess @ j)
         return -(j.T @ ginv_part)

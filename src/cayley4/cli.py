@@ -56,6 +56,8 @@ def _load_frame(path: str) -> np.ndarray:
         raise InputError('plane JSON must contain "frame": 4 rows of 8 numbers')
     if frame.shape != (4, 8):
         raise InputError(f"frame must be 4x8, got {frame.shape}")
+    if not np.all(np.isfinite(frame)):
+        raise InputError("frame entries must be finite numbers")
     dev = float(np.max(np.abs(frame @ frame.T - np.eye(4))))
     if dev > REPAIR_TOL:
         raise InputError(f"frame Gram deviation {dev:.2e} exceeds repair "
@@ -164,7 +166,7 @@ def _patch_from_args(args) -> patches.Patch:
                      else ambient.fubini_study_chart())
         try:
             return patches.builtin_patch(args.name, chart=chart, grid_n=grid)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             raise InputError(str(exc))
     raise InputError("verify-patch needs --spec or --name")
 
@@ -174,7 +176,7 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
     flat = patch.chart.name == "flat"
     probes = patch.probe_points(per_axis=2, shrink=0.5)
     reports = [patches.point_report(patch, t, want_gamma=False) for t in probes]
-    cayley_tol = 100.0 * patch.fd_step ** 2 + 1e-9
+    cayley_tol = patches.default_cayley_tol(patch.fd_step)
     all_cayley = all(r.cayley_dev <= cayley_tol for r in reports)
     all_real = all(r.lam <= 1.0 - 1e-4 for r in reports)
     any_complexish = any(r.lam > 1.0 - 1e-4 for r in reports)

@@ -17,11 +17,13 @@ identities for h, the identity d(gamma) = rho restricted to the patch,
 the calibrated/minimal dichotomies, and the quadrature identity
 int lambda^2 dvol = (1/2) int omega^2.
 
-All finite differencing is central; halving the step should show O(h^2)
+All finite differencing is central (the `_fd` stencils; step fd_step
+unless an explicit h > 0 is passed); halving the step should show O(h^2)
 behaviour, and the convergence reports implement exactly that check.
 Residuals that sit at the rounding floor on every level (this happens for
 product tori, whose truncation error is closed by symmetry) are reported
-as converged rather than fitted for an order.
+as converged rather than fitted for an order; a level pair with no usable
+order (finer residual at the floor, or coarser one exactly 0) gets inf.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import _fd
 from .multilinear import DIM, OrientedPlane4, hodge_star_plane, pfaffian4
 from .hermitian import complexify, omega0_values, realify, standard_structure, wirtinger_values
-from .planes import batch_kahler_cosines, canonical_form
-from .ambient import KahlerChart, flat_chart, fubini_study_chart
+from .planes import batch_kahler_cosines, canonical_form, unitary_gauge
+from .ambient import KahlerChart, flat_chart, fubini_study_chart, metric_from_hermitian
 
 __all__ = [
     "Patch",
@@ -71,6 +74,11 @@ class RankError(ValueError):
     pass
 
 
+def default_cayley_tol(h: float) -> float:
+    """Cayley-deviation tolerance matching the O(h^2) stencil error."""
+    return 100.0 * h * h + 1e-9
+
+
 @dataclass(frozen=True)
 class Patch:
     name: str
@@ -86,6 +94,11 @@ class Patch:
         if b.shape != (4, 2):
             raise ValueError("box must be (4, 2)")
         object.__setattr__(self, "box", b)
+        _step(self, None)                 # rejects a bad fd_step
+        for n, per in zip(self.grid_n, self.periodic):
+            if n < (1 if per else 2):
+                raise ValueError(f"grid_n {tuple(self.grid_n)} needs at least 2 "
+                                 "points per open axis and 1 per periodic axis")
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(self.map_fn(np.asarray(t, dtype=float)), dtype=float)
@@ -122,37 +135,24 @@ class Patch:
         return float(np.prod(self.spacings()))
 
 
+def _step(patch: Patch, h: float | None) -> float:
+    """The explicit step h, or the patch's fd_step when h is None."""
+    h = patch.fd_step if h is None else h
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step must be finite and > 0, got {h}")
+    return h
+
+
 # ---------------------------------------------------------------------------
 # Point-level geometry
 # ---------------------------------------------------------------------------
 
 def _tangents(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty((4, DIM))
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h
-        out[i] = (patch.evaluate(t + e) - patch.evaluate(t - e)) / (2.0 * h)
-    return out
+    return _fd.gradient(patch.evaluate, t, h)
 
 
 def _second_derivatives(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty((4, 4, DIM))
-    f0 = patch.evaluate(t)
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h
-        out[i, i] = (patch.evaluate(t + e) - 2.0 * f0 + patch.evaluate(t - e)) / (h * h)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ei = np.zeros(4)
-            ej = np.zeros(4)
-            ei[i] = h
-            ej[j] = h
-            v = (patch.evaluate(t + ei + ej) - patch.evaluate(t + ei - ej)
-                 - patch.evaluate(t - ei + ej) + patch.evaluate(t - ei - ej)
-                 ) / (4.0 * h * h)
-            out[i, j] = out[j, i] = v
-    return out
+    return _fd.hessian(patch.evaluate, t, h)
 
 
 def _gram_schmidt(vectors: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,16 +173,6 @@ def _gram_schmidt(vectors: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.nd
         e_rows.append(v / n)
         c[i] = coeff / n
     return np.vstack(e_rows), c
-
-
-def _model_map(hmat: np.ndarray) -> np.ndarray:
-    """Complex matrix L with v -> L.T @ complexify(v) an isometry onto the model."""
-    m = 2.0 * hmat
-    return np.linalg.cholesky(m)
-
-
-def _to_model(l: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return realify(complexify(vectors) @ l)          # rows v: (L.T @ z) per row
 
 
 @dataclass
@@ -213,17 +203,14 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float) -> _PointGeometry:
     p = patch.evaluate(t)
     tang = _tangents(patch, t, h)
     hmat = patch.chart.hermitian_at(p)
-    g = np.zeros((DIM, DIM))
-    g[0::2, 0::2] = 2.0 * hmat.real
-    g[1::2, 1::2] = 2.0 * hmat.real
-    g[0::2, 1::2] = 2.0 * hmat.imag
-    g[1::2, 0::2] = -2.0 * hmat.imag
+    g = metric_from_hermitian(hmat)
     sv = np.linalg.svd(tang @ g @ tang.T, compute_uv=False)
     if math.sqrt(float(sv[-1])) < RANK_TOL:
         raise RankError("dF loses rank at this point")
     frame, coeff = _gram_schmidt(tang, g)
-    l = _model_map(hmat)
-    model = _to_model(l, frame)
+    # v -> L.T @ complexify(v) is an isometry of the chart metric onto the model
+    l = np.linalg.cholesky(2.0 * hmat)
+    model = realify(complexify(frame) @ l)
     st = standard_structure()
     omega = st.j.T @ g
     a = model @ st.omega_mat @ model.T
@@ -266,7 +253,7 @@ class PointReport:
 
 
 def _second_fundamental(patch: Patch, geo: _PointGeometry, h: float):
-    """(h-tensor in the orthonormal frame, nabla of coordinate fields)."""
+    """(h-tensor in the orthonormal frame, nabla and h of coordinate fields)."""
     sec = _second_derivatives(patch, geo.t, h)
     gamma_chr = patch.chart.christoffel_at(geo.p)
     nab = sec + np.einsum("abc,ib,jc->ija", gamma_chr, geo.tangents, geo.tangents)
@@ -275,20 +262,20 @@ def _second_fundamental(patch: Patch, geo: _PointGeometry, h: float):
         for j in range(4):
             ii[i, j] = geo.normal(nab[i, j])
     h_frame = np.einsum("ai,bj,ijc->abc", geo.gs_coeff, geo.gs_coeff, ii)
-    return h_frame, nab
+    return h_frame, nab, ii
 
 
 def tangent_plane_at(patch: Patch, t: np.ndarray, h: float | None = None) -> OrientedPlane4:
     """Oriented tangent plane in a unitary ambient frame at the point."""
-    geo = _point_geometry(patch, t, h or patch.fd_step)
+    geo = _point_geometry(patch, t, _step(patch, h))
     return OrientedPlane4(geo.model_frame)
 
 
 def point_report(patch: Patch, t: np.ndarray, h: float | None = None,
                  want_gamma: bool = True) -> PointReport:
-    h = h or patch.fd_step
+    h = _step(patch, h)
     geo = _point_geometry(patch, t, h)
-    h_frame, _ = _second_fundamental(patch, geo, h)
+    h_frame, _, _ = _second_fundamental(patch, geo, h)
     mean = h_frame[0, 0] + h_frame[1, 1] + h_frame[2, 2] + h_frame[3, 3]
     hnorm = math.sqrt(float(mean @ geo.g @ mean))
     sym = float(np.max(np.abs(h_frame - h_frame.transpose(1, 0, 2))))
@@ -328,7 +315,7 @@ class UnitaryFrameField:
                  anchor: np.ndarray | None = None, steps_per_axis: int = 12,
                  gauge: float = 0.0):
         self.patch = patch
-        self.h = h or patch.fd_step
+        self.h = _step(patch, h)
         self.anchor = (0.5 * (patch.box[:, 0] + patch.box[:, 1])
                        if anchor is None else np.asarray(anchor, dtype=float))
         self.steps = steps_per_axis
@@ -407,17 +394,9 @@ class UnitaryFrameField:
     def unitary_frame(self, t: np.ndarray) -> np.ndarray:
         frame = self.cayley_frame(t)
         geo = _point_geometry(self.patch, t, self.h)
-        lam = geo.lam
-        if lam >= 1.0 - LAMBDA_GUARD:
+        if geo.lam >= 1.0 - LAMBDA_GUARD:
             raise ValueError("near-complex point: no unitary gauge")
-        st = standard_structure()
-        s = math.sqrt(1.0 - lam * lam)
-        return np.vstack([
-            frame[0],
-            (frame[1] - lam * (st.j @ frame[0])) / s,
-            frame[2],
-            (frame[3] - lam * (st.j @ frame[2])) / s,
-        ])
+        return unitary_gauge(frame, geo.lam)
 
 
 def gamma_form(patch: Patch, t: np.ndarray, h: float | None = None,
@@ -427,7 +406,7 @@ def gamma_form(patch: Patch, t: np.ndarray, h: float | None = None,
     Variant A is omega(., H) / (lambda^2 - 1); variant B differentiates a
     propagated unitary frame.  Totally real Cayley points only.
     """
-    h = h or patch.fd_step
+    h = _step(patch, h)
     rep = point_report(patch, t, h)
     if rep.gamma is None:
         raise ValueError("gamma needs lambda bounded away from 1")
@@ -438,16 +417,12 @@ def gamma_form(patch: Patch, t: np.ndarray, h: float | None = None,
     gamma_chr = patch.chart.christoffel_at(geo.p)
     u0 = frame_field.unitary_frame(t)
     ju = (st.j @ u0.T).T
+    du = _fd.gradient(frame_field.unitary_frame, t, h)
     gamma_b = np.empty(4)
     for a in range(4):
-        e = np.zeros(4)
-        e[a] = h
-        up = frame_field.unitary_frame(t + e)
-        um = frame_field.unitary_frame(t - e)
-        du = (up - um) / (2.0 * h)
         total = 0.0
         for k in range(4):
-            nab = du[k] + np.einsum("abc,b,c->a", gamma_chr, geo.tangents[a], u0[k])
+            nab = du[a, k] + np.einsum("abc,b,c->a", gamma_chr, geo.tangents[a], u0[k])
             total += float(nab @ geo.g @ ju[k])
         # the frame trace computes the phase derivative of the complex volume
         # form along the patch; gamma is its negative
@@ -484,19 +459,17 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
     uses coclosure of the restricted Kaehler form, so it is only checked
     when the point is Cayley within tolerance (None otherwise).
     """
-    h = h or patch.fd_step
+    h = _step(patch, h)
     if cayley_tol is None:
-        cayley_tol = 100.0 * h * h + 1e-9
+        cayley_tol = default_cayley_tol(h)
     rng = np.random.default_rng(seed)
     geo = _point_geometry(patch, t, h)
     st = standard_structure()
-    h_frame, nab = _second_fundamental(patch, geo, h)
-    # h on coordinate fields, and the tangential connection on them
-    ii = np.empty_like(nab)
+    h_frame, nab, ii = _second_fundamental(patch, geo, h)
+    # the tangential connection on coordinate fields
     dtang = np.empty_like(nab)
     for i in range(4):
         for j in range(4):
-            ii[i, j] = geo.normal(nab[i, j])
             dtang[i, j] = geo.tangential(nab[i, j])
 
     res1 = []
@@ -546,9 +519,9 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
 
 def coclosure_residual(patch: Patch, t: np.ndarray, h: float | None = None) -> float:
     """Max over X of |d*(omega|_N)(X)| = |sum_a (D_{e_a} omega)(e_a, X)|."""
-    h = h or patch.fd_step
+    h = _step(patch, h)
     geo = _point_geometry(patch, t, h)
-    _, nab = _second_fundamental(patch, geo, h)
+    _, nab, _ = _second_fundamental(patch, geo, h)
     gamma_chr = patch.chart.christoffel_at(geo.p)
     totals = np.zeros(4)
     for a in range(4):
@@ -589,17 +562,12 @@ def _dgamma_residual(patch: Patch, t: np.ndarray, h: float,
     if geo.cayley_dev > cayley_tol or geo.lam > 1.0 - LAMBDA_GUARD:
         return None
     rho = patch.chart.ricci_form_at(geo.p)
-    gplus = np.empty((4, 4))
-    gminus = np.empty((4, 4))
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h
-        gplus[i] = _gamma_a_at(patch, t + e, h)
-        gminus[i] = _gamma_a_at(patch, t - e, h)
+    # d[i, j] = gamma_j(t + h e_i) - gamma_j(t - h e_i)
+    d = _fd.differences(lambda s: _gamma_a_at(patch, s, h), t, h)
     worst = 0.0
     for i in range(4):
         for j in range(i + 1, 4):
-            dg = ((gplus[i, j] - gminus[i, j]) - (gplus[j, i] - gminus[j, i])) / (2.0 * h)
+            dg = (d[i, j] - d[j, i]) / (2.0 * h)
             pull = float(geo.tangents[i] @ rho @ geo.tangents[j])
             worst = max(worst, abs(dg - pull))
     return worst
@@ -648,12 +616,12 @@ def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None,
     """
     if probes is None:
         probes = patch.probe_points(per_axis=2, shrink=0.5)
-    h0 = h0 or patch.fd_step
+    h0 = _step(patch, h0)
     residuals = []
     masked = 0
     for k in range(levels):
         h = h0 / (2 ** k)
-        tol_here = cayley_tol if cayley_tol is not None else 100.0 * h * h + 1e-9
+        tol_here = cayley_tol if cayley_tol is not None else default_cayley_tol(h)
         level_masked = 0
         worst = 0.0
         for t in probes:
@@ -669,7 +637,9 @@ def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None,
     orders = []
     for k in range(len(residuals) - 1):
         lo, hi = residuals[k + 1], residuals[k]
-        if lo <= RESIDUAL_FLOOR:
+        if lo <= RESIDUAL_FLOOR or hi == 0.0:
+            # no order to fit: the finer level is at the floor, or the
+            # coarser one is exactly 0 (log2(0) is undefined)
             orders.append(float("inf"))
         else:
             orders.append(math.log2(hi / lo))
@@ -724,7 +694,7 @@ def verify_theorem_i(patch: Patch, alphas: np.ndarray | None = None,
         alphas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     if points is None:
         points = patch.grid_points(interior=False)
-    h = h or patch.fd_step
+    h = _step(patch, h)
     hmax = 0.0
     frames = []
     for t in points:
@@ -805,9 +775,9 @@ def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
     """
     from .ambient import einstein_report
 
-    h = h or patch.fd_step
+    h = _step(patch, h)
     if cayley_tol is None:
-        cayley_tol = 100.0 * h * h + 1e-9
+        cayley_tol = default_cayley_tol(h)
     if points is None:
         points = patch.grid_points(interior=False)
     ein = einstein_report(patch.chart, n_points=einstein_points)
@@ -843,6 +813,14 @@ def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
     return report(True, None, branch)
 
 
+def _lambda_sq_terms(geo: _PointGeometry) -> tuple[float, float, float]:
+    """(lambda^2, volume density, Pfaffian of the pulled-back omega)."""
+    gind = geo.tangents @ geo.g @ geo.tangents.T
+    dvol = math.sqrt(max(float(np.linalg.det(gind)), 0.0))
+    pull = geo.tangents @ geo.omega @ geo.tangents.T
+    return geo.lam ** 2, dvol, pfaffian4(pull)
+
+
 def l2_lambda_invariant(patch: Patch, h: float | None = None) -> dict:
     """Quadrature of lambda^2 dvol against (1/2) the squared Kaehler form.
 
@@ -852,18 +830,15 @@ def l2_lambda_invariant(patch: Patch, h: float | None = None) -> dict:
     """
     if not all(patch.periodic):
         raise ValueError("the quadrature identity needs a closed (periodic) patch")
-    h = h or patch.fd_step
+    h = _step(patch, h)
     pts = patch.grid_points()
     cell = patch.cell_volume()
     lhs = 0.0
     rhs = 0.0
     for t in pts:
-        geo = _point_geometry(patch, t, h)
-        gind = geo.tangents @ geo.g @ geo.tangents.T
-        dvol = math.sqrt(max(float(np.linalg.det(gind)), 0.0))
-        lhs += geo.lam ** 2 * dvol
-        pull = geo.tangents @ geo.omega @ geo.tangents.T
-        rhs += pfaffian4(pull)
+        lam_sq, dvol, pf = _lambda_sq_terms(_point_geometry(patch, t, h))
+        lhs += lam_sq * dvol
+        rhs += pf
     return {
         "lambda_sq_integral": lhs * cell,
         "half_omega_sq_integral": float(rhs) * cell,
@@ -880,18 +855,15 @@ def lambda_square_field(patch: Patch, points: np.ndarray | None = None,
     divides the restricted squared Kaehler form by twice the volume
     density.  For pointwise Cayley patches both give lambda^2 in [0, 1].
     """
-    h = h or patch.fd_step
+    h = _step(patch, h)
     if points is None:
         points = patch.grid_points(interior=False)
     from_angles = np.empty(len(points))
     from_pfaffian = np.empty(len(points))
     for n, t in enumerate(points):
-        geo = _point_geometry(patch, t, h)
-        from_angles[n] = geo.lam ** 2
-        gind = geo.tangents @ geo.g @ geo.tangents.T
-        dvol = math.sqrt(max(float(np.linalg.det(gind)), 0.0))
-        pull = geo.tangents @ geo.omega @ geo.tangents.T
-        from_pfaffian[n] = pfaffian4(pull) / dvol
+        lam_sq, dvol, pf = _lambda_sq_terms(_point_geometry(patch, t, h))
+        from_angles[n] = lam_sq
+        from_pfaffian[n] = pf / dvol
     return {
         "from_angles": from_angles,
         "from_pfaffian": from_pfaffian,
@@ -960,14 +932,24 @@ def _lagrangian_graph(params: dict, chart: KahlerChart):
     return fmap, np.array([[-0.5, 0.5]] * 4), (False,) * 4
 
 
+def _circles(radii: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Product of circles of the given radii at angles t."""
+    out = np.empty(DIM)
+    out[0::2] = radii * np.cos(t)
+    out[1::2] = radii * np.sin(t)
+    return out
+
+
+def _complex_plane(t: np.ndarray) -> np.ndarray:
+    """The coordinate complex 2-plane C^2 x {0}."""
+    return realify(np.array([t[0] + 1j * t[1], t[2] + 1j * t[3], 0.0, 0.0]))
+
+
 def _product_torus(params: dict, chart: KahlerChart):
     radii = np.asarray(params.get("radii", [1.0, 1.0, 1.0, 1.0]), dtype=float)
 
     def fmap(t):
-        out = np.empty(DIM)
-        out[0::2] = radii * np.cos(t)
-        out[1::2] = radii * np.sin(t)
-        return out
+        return _circles(radii, t)
 
     return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
@@ -980,20 +962,13 @@ def _perturbed_lagrangian_torus(params: dict, chart: KahlerChart):
 
     def fmap(t):
         d_psi = np.array([-np.sin(t[0] + t[1]), -np.sin(t[0] + t[1]), 0.0, 0.0])
-        radii = np.sqrt(r * r + eps * d_psi)
-        out = np.empty(DIM)
-        out[0::2] = radii * np.cos(t)
-        out[1::2] = radii * np.sin(t)
-        return out
+        return _circles(np.sqrt(r * r + eps * d_psi), t)
 
     return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
 
 def _complex_torus(params: dict, chart: KahlerChart):
-    def fmap(t):
-        return realify(np.array([t[0] + 1j * t[1], t[2] + 1j * t[3], 0.0, 0.0]))
-
-    return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
+    return _complex_plane, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
 
 def _fs_real_slice(params: dict, chart: KahlerChart):
@@ -1006,10 +981,7 @@ def _fs_real_slice(params: dict, chart: KahlerChart):
 
 
 def _fs_complex_slice(params: dict, chart: KahlerChart):
-    def fmap(t):
-        return realify(np.array([t[0] + 1j * t[1], t[2] + 1j * t[3], 0.0, 0.0]))
-
-    return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4
+    return _complex_plane, np.array([[-0.6, 0.6]] * 4), (False,) * 4
 
 
 def _fs_lagrangian_torus(params: dict, chart: KahlerChart):
@@ -1025,11 +997,7 @@ def _fs_lagrangian_torus(params: dict, chart: KahlerChart):
     def fmap(t):
         d_psi = np.array([-np.sin(t[0] + t[1]), -np.sin(t[0] + t[1]), 0.0, 0.0])
         mu = kappa + eps * d_psi
-        radii = np.sqrt(mu / (1.0 - np.sum(mu)))
-        out = np.empty(DIM)
-        out[0::2] = radii * np.cos(t)
-        out[1::2] = radii * np.sin(t)
-        return out
+        return _circles(np.sqrt(mu / (1.0 - np.sum(mu))), t)
 
     return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 

@@ -161,15 +161,21 @@ def _omega_restriction(plane: OrientedPlane4) -> np.ndarray:
     return restrict_matrix(standard_structure().omega_mat, plane.frame)
 
 
-def _complete_orthonormal(cols: list[np.ndarray], pool: np.ndarray) -> list[np.ndarray]:
-    """Extend `cols` to an orthonormal set using candidate columns of pool."""
-    out = list(cols)
-    for cand in pool.T:
-        v = cand.copy()
+def _complete_orthonormal(known: list[np.ndarray], pool: np.ndarray,
+                          min_norm: float = 0.3) -> list[np.ndarray]:
+    """Extend the orthonormal vectors `known` by the rows of `pool`.
+
+    Modified Gram-Schmidt in the Hermitian product (the Euclidean one for
+    real input): each candidate is projected off the vectors kept so far
+    and kept, normalized, when its residual norm exceeds min_norm.
+    """
+    out = list(known)
+    for cand in pool:
+        v = cand.copy()        # contiguous, as BLAS rounding depends on layout
         for w in out:
-            v -= (w @ v) * w
+            v = v - (w.conj() @ v) * w
         n = np.linalg.norm(v)
-        if n > 0.3:
+        if n > min_norm:
             out.append(v / n)
     return out
 
@@ -191,7 +197,7 @@ def _canonical_pairs(a: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, flo
     av = a @ v
     p1 = av / np.linalg.norm(av)
     p2 = v                                        # omega(p1, p2) = +sigma1
-    rest = _complete_orthonormal([p1, p2], vecs[:, ::-1])
+    rest = _complete_orthonormal([p1, p2], vecs[:, ::-1].T)
     q = rest[2]
     aq = a @ q
     if np.linalg.norm(aq) <= max(tol, 1e-14):
@@ -238,20 +244,24 @@ def _angles_from_cosines(c1: float, c2: float) -> tuple[float, float]:
     return t1, t2
 
 
-def kahler_angles(plane: OrientedPlane4) -> AngleReport:
-    """Angle extraction without the canonical basis (cheap path)."""
-    a = _omega_restriction(plane)
-    _, c1, c2 = _canonical_pairs(a)
+def _angle_report(c1: float, c2: float, **basis) -> AngleReport:
+    """Report for the canonical cosines; `basis` carries canonical_form's fields."""
     t1, t2 = _angles_from_cosines(c1, c2)
-    cls = _classify(t1, t2)
     lam = 0.5 * (c1 + c2) if abs(t1 - t2) <= CAYLEY_TOL else None
     return AngleReport(
         theta1=t1,
         theta2=t2,
-        classification=cls,
+        classification=_classify(t1, t2),
         lam=None if lam is None else float(np.clip(lam, 0.0, 1.0)),
         degenerate_spectrum=bool(abs(c1 - abs(c2)) <= 1e-9),
+        **basis,
     )
+
+
+def kahler_angles(plane: OrientedPlane4) -> AngleReport:
+    """Angle extraction without the canonical basis (cheap path)."""
+    _, c1, c2 = _canonical_pairs(_omega_restriction(plane))
+    return _angle_report(c1, c2)
 
 
 def _unitary_gram_dev(u: np.ndarray) -> float:
@@ -289,15 +299,7 @@ def canonical_form(plane: OrientedPlane4) -> AngleReport:
 
     if deg1 or deg2:
         known_z = [complexify(v) for v in known]
-        pool = np.eye(4, dtype=complex)
-        filled = list(known_z)
-        for cand in pool.T:
-            v = cand.astype(complex)
-            for w in filled:
-                v = v - (w.conj() @ v) * w
-            n = np.linalg.norm(v)
-            if n > 0.3:
-                filled.append(v / n)
+        filled = _complete_orthonormal(known_z, np.eye(4, dtype=complex))
         extras = [realify(z) for z in filled[len(known_z):]]
         if u2 is None:
             u2 = extras.pop(0)
@@ -309,29 +311,15 @@ def canonical_form(plane: OrientedPlane4) -> AngleReport:
     if dev > 1e-12:
         # tiny sin(theta) amplifies rounding in the u2/u4 quotients; a
         # hermitian re-orthonormalization costs O(dev) which the rebuild
-        # multiplies back down by sin(theta)
-        z = [complexify(v) for v in u]
-        for k in range(4):
-            for j in range(k):
-                z[k] = z[k] - (z[j].conj() @ z[k]) * z[j]
-            z[k] = z[k] / np.linalg.norm(z[k])
-        u = np.vstack([realify(v) for v in z])
+        # multiplies back down by sin(theta); every row is kept, as near
+        # complex planes leave residuals below the completion threshold
+        u = realify(_complete_orthonormal([], complexify(u), min_norm=0.0))
         dev = _unitary_gram_dev(u)
     if dev > 1e-9:
         raise RuntimeError(f"canonical basis failed unitarity check: {dev:.3e}")
 
-    cls = _classify(t1, t2)
-    lam = 0.5 * (c1 + c2) if abs(t1 - t2) <= CAYLEY_TOL else None
-    return AngleReport(
-        theta1=t1,
-        theta2=t2,
-        classification=cls,
-        lam=None if lam is None else float(np.clip(lam, 0.0, 1.0)),
-        unitary_basis=u,
-        canonical_tangent_frame=p,
-        degenerate_factors=(deg1, deg2),
-        degenerate_spectrum=bool(abs(c1 - abs(c2)) <= 1e-9),
-    )
+    return _angle_report(c1, c2, unitary_basis=u, canonical_tangent_frame=p,
+                         degenerate_factors=(deg1, deg2))
 
 
 def build_plane(unitary_basis: np.ndarray, theta1: float, theta2: float) -> OrientedPlane4:
@@ -389,16 +377,9 @@ def cayley_basis(plane: OrientedPlane4, tol: float = CAYLEY_TOL) -> np.ndarray:
     f = plane.frame
     e1c = np.array([1.0, 0.0, 0.0, 0.0])
     e2c = jmat @ e1c
-    for cand in (np.array([0.0, 1.0, 0.0, 0.0]),
-                 np.array([0.0, 0.0, 1.0, 0.0]),
-                 np.array([0.0, 0.0, 0.0, 1.0])):
-        r = cand - (e1c @ cand) * e1c - (e2c @ cand) * e2c
-        n = np.linalg.norm(r)
-        if n > 0.3:
-            e3c = r / n
-            break
-    else:  # pragma: no cover - three candidates cannot all degenerate
-        raise RuntimeError("failed to complete the Cayley frame")
+    # the other three axes carry squared residual 2 in total, so one of
+    # them always clears the completion threshold
+    e3c = _complete_orthonormal([e1c, e2c], np.eye(4)[1:])[2]
     e4c = jmat @ e3c
     coords = np.column_stack([e1c, e2c, e3c, e4c])
     if np.linalg.det(coords) < 0:  # pragma: no cover - Pf(j) = +1 forbids this
@@ -406,19 +387,24 @@ def cayley_basis(plane: OrientedPlane4, tol: float = CAYLEY_TOL) -> np.ndarray:
     return coords.T @ f
 
 
+def unitary_gauge(frame: np.ndarray, lam: float) -> np.ndarray:
+    """u_{2k} = (e_{2k} - lam J e_{2k-1}) / s, s = sqrt(1 - lam^2), on the rows
+    of a Cayley frame (e1, j e1, e3, j e3); callers keep lam away from 1."""
+    j = standard_structure().j
+    s = np.sqrt(1.0 - lam * lam)
+    return np.vstack([
+        frame[0],
+        (frame[1] - lam * (j @ frame[0])) / s,
+        frame[2],
+        (frame[3] - lam * (j @ frame[2])) / s,
+    ])
+
+
 def unitary_from_cayley(frame: np.ndarray, lam: float) -> np.ndarray:
     """Unitary basis from a Cayley frame: u_{2k} = (e_{2k} - lam J e_{2k-1}) / s."""
     if lam >= 1.0 - NEAR_COMPLEX_GUARD:
         raise NearComplexError("near_complex: no unitary gauge at lambda ~ 1")
-    f = np.asarray(frame, dtype=float)
-    st = standard_structure()
-    s = np.sqrt(1.0 - lam * lam)
-    u = np.vstack([
-        f[0],
-        (f[1] - lam * (st.j @ f[0])) / s,
-        f[2],
-        (f[3] - lam * (st.j @ f[2])) / s,
-    ])
+    u = unitary_gauge(np.asarray(frame, dtype=float), lam)
     dev = _unitary_gram_dev(u)
     if dev > 1e-10:
         raise ValueError(f"input is not a Cayley frame: unitarity deviation {dev:.3e}")

@@ -170,3 +170,12 @@ def test_fs_chart_ball_guard():
     fs = fubini_study_chart()
     with pytest.raises(ValueError):
         fs.metric_at(np.full(8, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_are_rejected(bad):
+    p = np.zeros(8)
+    p[3] = bad
+    for chart in (flat_chart(), fubini_study_chart()):
+        with pytest.raises(ValueError):
+            chart.hermitian_at(p)

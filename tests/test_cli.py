@@ -151,3 +151,37 @@ def test_bad_frame_inputs(tmp_path, capsys):
     skewed.write_text(json.dumps({"frame": frame.tolist()}))
     assert main(["analyze-plane", "--in", str(skewed)]) == USAGE_ERROR
     capsys.readouterr()
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "affine", "fd_step": 0},
+    {"name": "affine", "fd_step": -0.01},
+    {"name": "affine", "fd_step": float("nan")},
+    {"name": "affine", "grid": {"n": [1, 5, 5, 5]}},
+])
+def test_bad_patch_spec_exits_2(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify-patch", "--spec", str(path)]) == USAGE_ERROR
+    assert _one_line_error(capsys)
+
+
+def test_bad_grid_on_name_path_exits_2(capsys):
+    assert main(["verify-patch", "--name", "affine", "--grid", "1", "5", "5", "5"]) \
+        == USAGE_ERROR
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_frame_exits_2(bad, plane_file, tmp_path, capsys):
+    frame = np.asarray(json.loads(open(plane_file).read())["frame"])
+    frame[2, 5] = bad
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps({"frame": frame.tolist()}))
+    assert main(["analyze-plane", "--in", str(path)]) == USAGE_ERROR
+    assert _one_line_error(capsys)

@@ -1,5 +1,7 @@
 """Curved-patch analysis: frames, curvature identities, and the theorems."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,64 @@ def test_lambda_square_field_consistency():
     out_c = lambda_square_field(ct)
     assert out_c["min_value"] == pytest.approx(1.0, abs=1e-10)
     assert out_c["max_mismatch"] < 1e-8
+
+
+# ------------------------------------------------------------ bad input
+
+
+@pytest.mark.parametrize("fields", [
+    {"fd_step": 0.0},
+    {"fd_step": -1e-2},
+    {"fd_step": float("nan")},
+    {"fd_step": float("inf")},
+    {"grid_n": (1, 5, 5, 5)},
+    {"grid_n": (5, 5, 5, 0), "periodic": (False, False, False, True)},
+])
+def test_patch_rejects_bad_step_and_grid(fields):
+    lg = builtin_patch("lagrangian-graph")
+    with pytest.raises(ValueError):
+        Patch(name="bad", chart=lg.chart, map_fn=lg.map_fn, box=lg.box, **fields)
+
+
+def test_periodic_axis_allows_a_single_point():
+    pt = builtin_patch("product-torus", grid_n=(1, 1, 1, 1))
+    assert pt.grid_points().shape == (1, 4)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-2])
+def test_explicit_nonpositive_step_is_rejected(h):
+    lg = builtin_patch("lagrangian-graph")
+    with pytest.raises(ValueError):
+        point_report(lg, T0, h=h)
+    with pytest.raises(ValueError):
+        UnitaryFrameField(lg, h=h)
+
+
+# ------------------------------------------- theorem III order bookkeeping
+
+
+def _no_nan_json(rep):
+    return "NaN" not in json.dumps(rep.to_json())
+
+
+def test_theorem_iii_zero_coarse_residual_reproducer():
+    # residuals sit at the rounding floor; a level can come out exactly 0
+    p = builtin_patch("affine", {"theta1": 0.9, "theta2": 0.9}, grid_n=(5, 5, 5, 5))
+    rep = verify_theorem_iii(p)
+    assert _no_nan_json(rep)
+    for k, order in enumerate(rep.orders):
+        if rep.residuals[k] == 0.0:
+            assert order == float("inf")
+
+
+def test_theorem_iii_order_after_exact_zero_is_inf(monkeypatch):
+    p = builtin_patch("affine", {"theta1": 0.9, "theta2": 0.9}, grid_n=(5, 5, 5, 5))
+    by_level = {p.fd_step: 2.2e-11, p.fd_step / 2: 0.0, p.fd_step / 4: 1.4e-9}
+    monkeypatch.setattr("cayley4.patches._dgamma_residual",
+                        lambda patch, t, h, tol: by_level[h])
+    rep = verify_theorem_iii(p)
+    assert rep.residuals == (2.2e-11, 0.0, 1.4e-9)
+    assert rep.orders == (float("inf"), float("inf"))
+    assert rep.passes(1e-4)
+    assert not rep.passes(1e-9)
+    assert _no_nan_json(rep)
