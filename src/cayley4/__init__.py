@@ -50,6 +50,7 @@ from .planes import (
     unitary_from_cayley,
 )
 from .ambient import (
+    ChartDomainError,
     EinsteinReport,
     KahlerChart,
     covariant_derivative,

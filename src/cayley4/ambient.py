@@ -15,18 +15,20 @@ form is
 realized as a central-difference Hessian of log det(h) (step h_curv); the
 sign is the one that makes the Fubini-Study chart Einstein with positive
 s (rho = (5/c) omega for the potential c log(1 + |z|^2)).  Christoffel
-symbols difference the metric with step h_metric; all stencils are those
-of the private `_fd` module.
+symbols difference the metric with step h_metric, for every chart; all
+stencils are those of the private `_fd` module.
 
-Built-in charts supply the Hermitian block in closed form; charts defined
-only by a potential fall back to central differences for it (step
-h_metric), at the cost of less accurate curvature.  Non-finite points
-and points outside the chart ball raise ValueError.
+Every point-level method takes a point (8,) or a stack of points
+(..., 8) and returns its result with the same leading axes; potentials
+and closed-form Hermitian blocks follow the same contract.  Built-in
+charts supply the Hermitian block in closed form; charts defined only by
+a potential fall back to central differences for it (step h_metric), at
+the cost of less accurate curvature.  Non-finite points and points
+outside the chart ball raise ChartDomainError, a ValueError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +40,7 @@ from .hermitian import standard_structure
 
 __all__ = [
     "KahlerChart",
+    "ChartDomainError",
     "EinsteinReport",
     "flat_chart",
     "fubini_study_chart",
@@ -49,49 +52,60 @@ H_METRIC_DEFAULT = 1e-4
 H_CURV_DEFAULT = 1e-3
 
 
+class ChartDomainError(ValueError):
+    """A point is not finite or lies outside the chart ball."""
+
+
+def _sq_norms(p: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", p, p)
+
+
 def metric_from_hermitian(h: np.ndarray) -> np.ndarray:
-    """Real 8x8 metric assembled from the Hermitian block."""
-    g = np.zeros((DIM, DIM))
-    g[0::2, 0::2] = 2.0 * h.real
-    g[1::2, 1::2] = 2.0 * h.real
-    g[0::2, 1::2] = 2.0 * h.imag
-    g[1::2, 0::2] = -2.0 * h.imag
+    """Real 8x8 metrics (..., 8, 8) assembled from Hermitian blocks (..., 4, 4)."""
+    g = np.empty(h.shape[:-2] + (DIM, DIM))
+    g[..., 0::2, 0::2] = 2.0 * h.real
+    g[..., 1::2, 1::2] = 2.0 * h.real
+    g[..., 0::2, 1::2] = 2.0 * h.imag
+    g[..., 1::2, 0::2] = -2.0 * h.imag
     return g
 
 
 @dataclass(frozen=True)
 class KahlerChart:
     name: str
-    potential: Callable[[np.ndarray], float]
-    hermitian: Callable[[np.ndarray], np.ndarray] | None = None
+    potential: Callable[[np.ndarray], np.ndarray]          # (..., 8) -> (...)
+    hermitian: Callable[[np.ndarray], np.ndarray] | None = None   # -> (..., 4, 4)
     radius: float | None = None
     h_metric: float = H_METRIC_DEFAULT
     h_curv: float = H_CURV_DEFAULT
 
     def check_inside(self, p: np.ndarray) -> None:
-        # cheaper than isfinite().all(); only a sum past 1e308 misfires
-        if not math.isfinite(np.add.reduce(p)):
-            raise ValueError("point has non-finite coordinates")
-        if self.radius is not None and np.linalg.norm(p) >= self.radius:
-            raise ValueError(
-                f"point with |p| = {np.linalg.norm(p):.4f} is outside the "
-                f"chart ball of radius {self.radius}")
+        p = np.asarray(p, dtype=float)
+        if not np.isfinite(p).all():
+            raise ChartDomainError("point has non-finite coordinates")
+        if self.radius is not None:
+            r = float(np.sqrt(np.max(_sq_norms(p))))
+            if r >= self.radius:
+                raise ChartDomainError(
+                    f"point with |p| = {r:.4f} is outside the "
+                    f"chart ball of radius {self.radius}")
 
     # -- Hermitian block and real metric ---------------------------------
 
     def _hermitian_fd(self, p: np.ndarray) -> np.ndarray:
         """h_{j kbar} from the real Hessian of the potential (central diffs)."""
         hess = _fd.hessian(self.potential, p, self.h_metric)
-        sxx = hess[0::2, 0::2]
-        syy = hess[1::2, 1::2]
-        sxy = hess[0::2, 1::2]
-        syx = hess[1::2, 0::2]
+        sxx = hess[..., 0::2, 0::2]
+        syy = hess[..., 1::2, 1::2]
+        sxy = hess[..., 0::2, 1::2]
+        syx = hess[..., 1::2, 0::2]
         return 0.25 * ((sxx + syy) + 1j * (sxy - syx))
 
     def hermitian_at(self, p: np.ndarray) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
         self.check_inside(p)
         if self.hermitian is not None:
-            return self.hermitian(np.asarray(p, dtype=float))
+            return self.hermitian(p)
         return self._hermitian_fd(p)
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
@@ -103,25 +117,21 @@ class KahlerChart:
 
     # -- Connection and curvature ----------------------------------------
 
-    def metric_derivatives(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
-        """dg[c, a, b] = d g_ab / d p_c by central differences."""
-        h = self.h_metric if step is None else step
-        return _fd.gradient(self.metric_at, p, h)
-
     def christoffel_at(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
-        """Gamma[a, b, c] = Gamma^a_{bc} of the Levi-Civita connection."""
-        g = self.metric_at(p)
-        dg = self.metric_derivatives(p, step)
+        """Gamma[..., a, b, c] = Gamma^a_{bc} of the Levi-Civita connection."""
+        h = self.h_metric if step is None else step
+        # the metric and dg[..., c, a, b] = d g_ab / d p_c from one stencil
+        g, dg = _fd.jet(self.metric_at, p, h)
         ginv = np.linalg.inv(g)
         # S[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
-        s = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-        return 0.5 * np.einsum("ad,dbc->abc", ginv, s)
+        s = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+        return 0.5 * (ginv @ s.reshape(s.shape[:-2] + (-1,))).reshape(s.shape)
 
-    def log_det_h(self, p: np.ndarray) -> float:
+    def log_det_h(self, p: np.ndarray) -> np.ndarray:
         sign, logdet = np.linalg.slogdet(self.hermitian_at(p))
-        if sign.real <= 0:
+        if np.any(sign.real <= 0):
             raise ValueError("Hermitian block is not positive definite here")
-        return float(logdet.real)
+        return logdet.real
 
     def ricci_form_at(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
         """Ricci form matrix rho(e_a, e_b) = -(i d dbar log det h)(e_a, e_b)."""
@@ -148,10 +158,10 @@ class EinsteinReport:
 
 def flat_chart() -> KahlerChart:
     def potential(p):
-        return 0.5 * float(p @ p)
+        return 0.5 * _sq_norms(p)
 
     def hermitian(p):
-        return 0.5 * np.eye(4, dtype=complex)
+        return np.broadcast_to(0.5 * np.eye(4, dtype=complex), p.shape[:-1] + (4, 4)).copy()
 
     return KahlerChart(name="flat", potential=potential, hermitian=hermitian)
 
@@ -160,13 +170,19 @@ def fubini_study_chart(scale: float = 1.0, radius: float = 2.0) -> KahlerChart:
     """Chart potential scale * log(1 + |z|^2) on the ball |z| < radius."""
 
     def potential(p):
-        return scale * float(np.log1p(p @ p))
+        return scale * np.log1p(_sq_norms(p))
 
     def hermitian(p):
-        z = p[0::2] + 1j * p[1::2]
-        d = 1.0 + float(p @ p)
-        h = (np.eye(4, dtype=complex) * d - np.outer(np.conj(z), z)) / (d * d)
-        return scale * h
+        # (d I - conj(z) z^T) / d^2 with d = 1 + |z|^2, built in place
+        z = p[..., 0::2] + 1j * p[..., 1::2]
+        d = 1.0 + _sq_norms(p)
+        h = np.conj(z)[..., :, None] * z[..., None, :]
+        np.negative(h, out=h)
+        for k in range(4):
+            h[..., k, k] += d
+        h /= (d * d)[..., None, None]
+        h *= scale
+        return h
 
     return KahlerChart(name="fubini-study", potential=potential,
                        hermitian=hermitian, radius=radius)
@@ -186,20 +202,23 @@ def covariant_derivative(chart: KahlerChart, curve: Callable[[float], np.ndarray
 
 def einstein_report(chart: KahlerChart, n_points: int = 100, seed: int = 0,
                     sample_radius: float | None = None) -> EinsteinReport:
-    """Einstein constant at the origin and worst pointwise deviation."""
+    """Einstein constant at the origin and worst pointwise deviation.
+
+    The origin and the n_points samples go through one batched Ricci
+    evaluation.
+    """
     rng = np.random.default_rng(seed)
-    rho0 = chart.ricci_form_at(np.zeros(DIM))
-    om0 = chart.omega_mat_at(np.zeros(DIM))
-    s = float(rho0[0, 1] / om0[0, 1])
     rad = sample_radius
     if rad is None:
         rad = 0.75 * chart.radius if chart.radius is not None else 1.0
-    worst = 0.0
-    for _ in range(n_points):
+    pts = np.zeros((n_points + 1, DIM))
+    for k in range(1, n_points + 1):
         p = rng.uniform(-1.0, 1.0, size=DIM)
-        p *= rad * rng.random() ** 0.125 / np.linalg.norm(p)
-        rho = chart.ricci_form_at(p)
-        om = chart.omega_mat_at(p)
-        dev = np.linalg.norm(rho - s * om) / np.linalg.norm(om)
-        worst = max(worst, float(dev))
+        pts[k] = p * (rad * rng.random() ** 0.125 / np.linalg.norm(p))
+    rho = chart.ricci_form_at(pts)
+    om = chart.omega_mat_at(pts)
+    s = float(rho[0, 0, 1] / om[0, 0, 1])
+    dev = (np.linalg.norm(rho[1:] - s * om[1:], axis=(-2, -1))
+           / np.linalg.norm(om[1:], axis=(-2, -1)))
+    worst = float(np.max(dev, initial=0.0))
     return EinsteinReport(scalar=s, max_deviation=worst, n_points=n_points)

@@ -154,6 +154,13 @@ def _patch_from_args(args) -> patches.Patch:
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read patch spec: {exc}")
+        if not isinstance(spec, dict):
+            raise InputError("invalid patch spec: expected a JSON object")
+        # --grid and --ambient override the spec's own fields
+        if args.grid:
+            spec["grid"] = {"n": list(args.grid)}
+        if args.ambient:
+            spec["ambient"] = args.ambient
         try:
             return patches.patch_from_spec(spec)
         except (KeyError, ValueError) as exc:
@@ -175,13 +182,13 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
     checks: list[dict] = []
     flat = patch.chart.name == "flat"
     probes = patch.probe_points(per_axis=2, shrink=0.5)
-    reports = [patches.point_report(patch, t, want_gamma=False) for t in probes]
+    rep = patches.point_report(patch, probes, want_gamma=False)
     cayley_tol = patches.default_cayley_tol(patch.fd_step)
-    all_cayley = all(r.cayley_dev <= cayley_tol for r in reports)
-    all_real = all(r.lam <= 1.0 - 1e-4 for r in reports)
-    any_complexish = any(r.lam > 1.0 - 1e-4 for r in reports)
+    all_cayley = bool(np.all(rep.cayley_dev <= cayley_tol))
+    all_real = bool(np.all(rep.lam <= 1.0 - 1e-4))
+    any_complexish = bool(np.any(rep.lam > 1.0 - 1e-4))
 
-    hs_dev = max(r.h_symmetry_dev for r in reports)
+    hs_dev = float(np.max(rep.h_symmetry_dev))
     checks.append({"name": "h_symmetric", "passed": bool(hs_dev <= 1e-6),
                    "max_deviation": hs_dev})
 
@@ -204,6 +211,8 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
             checks.append({"name": "gamma_variants_agree",
                            "passed": bool(max(gaps) <= 1e-4),
                            "max_gap": float(max(gaps))})
+        except ambient.ChartDomainError:
+            raise
         except ValueError as exc:
             checks.append({"name": "gamma_variants_agree", "passed": True,
                            "skipped": str(exc)})
@@ -251,7 +260,10 @@ def cmd_verify_patch(args) -> int:
     patch = _patch_from_args(args)
     tol = args.tol if args.tol is not None else (1e-4 if patch.chart.name == "flat"
                                                  else 1e-3)
-    checks = _run_patch_checks(patch, tol)
+    try:
+        checks = _run_patch_checks(patch, tol)
+    except ambient.ChartDomainError as exc:
+        raise InputError(f"patch leaves its chart: {exc}")
     failed = [c["name"] for c in checks if not c["passed"]]
     report = {
         "patch": patch.name,
@@ -274,8 +286,14 @@ def cmd_invariant_suite(args) -> int:
     grid = tuple(args.grid) if args.grid else (6, 6, 6, 6)
     results = []
     for name, params, tol in cases:
-        patch = patches.builtin_patch(name, params, grid_n=grid)
-        inv = patches.l2_lambda_invariant(patch)
+        try:
+            patch = patches.builtin_patch(name, params, grid_n=grid)
+        except ValueError as exc:
+            raise InputError(str(exc))
+        try:
+            inv = patches.l2_lambda_invariant(patch)
+        except ambient.ChartDomainError as exc:
+            raise InputError(f"patch leaves its chart: {exc}")
         entry = {"patch": name, "tolerance": tol, **inv}
         if name == "product-torus":
             # Lagrangian case: both integrals vanish individually

@@ -209,6 +209,18 @@ def evaluate_frames(form: KForm, frames: np.ndarray) -> np.ndarray:
     return _minors4(np.asarray(frames, dtype=float)) @ form.coeffs
 
 
+def require_orthonormal(frames: np.ndarray) -> None:
+    """Raise ValueError unless every frame (..., 4, 8) is finite with
+    orthonormal rows to ORTHONORMAL_TOL (Gram deviation, Frobenius)."""
+    if not np.isfinite(frames).all():
+        raise ValueError("frame has non-finite entries")
+    gram = frames @ np.swapaxes(frames, -1, -2)
+    dev = float(np.max(np.linalg.norm(gram - np.eye(4), axis=(-2, -1))))
+    if dev > ORTHONORMAL_TOL:
+        raise ValueError(f"frame is not orthonormal: Gram deviation {dev:.3e} "
+                         f"exceeds {ORTHONORMAL_TOL:.1e}")
+
+
 @dataclass(frozen=True)
 class OrientedPlane4:
     """Oriented 4-plane through the origin, as an ordered orthonormal frame.
@@ -223,11 +235,7 @@ class OrientedPlane4:
         f = np.asarray(self.frame, dtype=float)
         if f.shape != (4, DIM):
             raise ValueError(f"frame must have shape (4, {DIM}), got {f.shape}")
-        gram = f @ f.T
-        dev = float(np.linalg.norm(gram - np.eye(4)))
-        if dev > ORTHONORMAL_TOL:
-            raise ValueError(f"frame is not orthonormal: Gram deviation {dev:.3e} "
-                             f"exceeds {ORTHONORMAL_TOL:.1e}")
+        require_orthonormal(f)
         object.__setattr__(self, "frame", f)
 
     @classmethod

@@ -17,6 +17,12 @@ identities for h, the identity d(gamma) = rho restricted to the patch,
 the calibrated/minimal dichotomies, and the quadrature identity
 int lambda^2 dvol = (1/2) int omega^2.
 
+Every point-level routine works on stacks of points, and a single point
+is a batch of one.  A patch map takes parameter points (..., 4) to chart
+points (..., 8) (Patch.evaluate rejects any other output shape); a
+derivative stencil calls it once on all of its points, and grid-wide
+checks run CHUNK points per batch to bound memory.
+
 All finite differencing is central (the `_fd` stencils; step fd_step
 unless an explicit h > 0 is passed); halving the step should show O(h^2)
 behaviour, and the convergence reports implement exactly that check.
@@ -35,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import _fd
-from .multilinear import DIM, OrientedPlane4, hodge_star_plane, pfaffian4
+from .multilinear import DIM, OrientedPlane4, hodge_star_plane, pfaffian4, require_orthonormal
 from .hermitian import complexify, omega0_values, realify, standard_structure, wirtinger_values
 from .planes import batch_kahler_cosines, canonical_form, unitary_gauge
 from .ambient import KahlerChart, flat_chart, fubini_study_chart, metric_from_hermitian
@@ -69,6 +75,11 @@ LAMBDA_GUARD = 1e-4
 # Residuals below this floor count as converged in order fits.
 RESIDUAL_FLOOR = 1e-9
 
+# Parameter points per batch in grid-wide routines.  Bounds the memory of
+# the stencil and chart intermediates: 64 points cost about 1.6 MiB of
+# peak memory and run as fast as one batch of a whole 5^4 grid.
+CHUNK = 64
+
 
 class RankError(ValueError):
     pass
@@ -101,7 +112,13 @@ class Patch:
                                  "points per open axis and 1 per periodic axis")
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.map_fn(np.asarray(t, dtype=float)), dtype=float)
+        """F at parameter points t (..., 4); values (..., 8)."""
+        t = np.asarray(t, dtype=float)
+        p = np.asarray(self.map_fn(t), dtype=float)
+        if p.shape != t.shape[:-1] + (DIM,):
+            raise ValueError(f"map of patch '{self.name}' gave shape {p.shape} for points "
+                             f"{t.shape}; maps must take (..., 4) to (..., 8)")
+        return p
 
     def spacings(self) -> np.ndarray:
         lens = self.box[:, 1] - self.box[:, 0]
@@ -147,65 +164,71 @@ def _step(patch: Patch, h: float | None) -> float:
 # Point-level geometry
 # ---------------------------------------------------------------------------
 
-def _tangents(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
-    return _fd.gradient(patch.evaluate, t, h)
-
-
 def _second_derivatives(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
+    """Hessian of the map at parameter points (..., 4): (..., 4, 4, 8)."""
     return _fd.hessian(patch.evaluate, t, h)
 
 
 def _gram_schmidt(vectors: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Metric Gram-Schmidt of the rows: E = C @ vectors, C lower triangular."""
-    e_rows: list[np.ndarray] = []
-    c = np.zeros((4, 4))
-    for i in range(4):
-        v = vectors[i].copy()
-        coeff = np.zeros(4)
-        coeff[i] = 1.0
-        for j in range(len(e_rows)):
-            proj = float(e_rows[j] @ g @ vectors[i])
-            v -= proj * e_rows[j]
-            coeff -= proj * c[j]
-        n = math.sqrt(float(v @ g @ v))
-        if n < RANK_TOL:
-            raise RankError(f"tangent frame is rank deficient (residual {n:.3e})")
-        e_rows.append(v / n)
-        c[i] = coeff / n
-    return np.vstack(e_rows), c
+    """Metric Gram-Schmidt of the rows of each (..., 4, 8) stack:
+    E = C @ vectors, C lower triangular.
+
+    Gram-Schmidt in the metric g is the Cholesky factorization L L^T of the
+    Gram matrix with C = L^-1; the diagonal of L holds the residual norms.
+    """
+    gram = vectors @ g @ np.swapaxes(vectors, -1, -2)
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise RankError("tangent frame is rank deficient (Gram matrix not positive definite)")
+    n = np.diagonal(low, axis1=-2, axis2=-1)
+    if (n < RANK_TOL).any():
+        raise RankError(f"tangent frame is rank deficient (residual {n.min():.3e})")
+    c = np.linalg.inv(low)
+    return c @ vectors, c
 
 
 @dataclass
 class _PointGeometry:
+    """Geometry at parameter points; every field leads with the axes of t."""
     t: np.ndarray
     p: np.ndarray
-    tangents: np.ndarray          # (4, 8) coordinate tangents dF/dt_i
+    tangents: np.ndarray          # (..., 4, 8) coordinate tangents dF/dt_i
     g: np.ndarray
     omega: np.ndarray             # omega matrix at p
-    frame: np.ndarray             # (4, 8) g-orthonormal tangent frame
+    frame: np.ndarray             # (..., 4, 8) g-orthonormal tangent frame
     gs_coeff: np.ndarray          # frame = gs_coeff @ tangents
     model_frame: np.ndarray       # same frame in the flat model
-    cos1: float
-    cos2: float
-    lam: float
-    cayley_dev: float             # ||*omega|_xi - omega|_xi||_F in the model
+    cos1: np.ndarray
+    cos2: np.ndarray
+    lam: np.ndarray
+    cayley_dev: np.ndarray        # ||*omega|_xi - omega|_xi||_F in the model
+    sec: np.ndarray | None        # (..., 4, 4, 8) second derivatives, if asked for
+
+    def __getitem__(self, k) -> "_PointGeometry":
+        return _PointGeometry(**{n: v if v is None else v[k] for n, v in vars(self).items()})
 
     def tangential(self, w: np.ndarray) -> np.ndarray:
-        coefs = self.frame @ self.g @ w
-        return coefs @ self.frame
+        """Tangential part of vectors w (..., m..., 8) at each point."""
+        lead = self.frame.shape[:-2]
+        coefs = w.reshape(lead + (-1, DIM)) @ np.swapaxes(self.frame @ self.g, -1, -2)
+        return (coefs @ self.frame).reshape(w.shape)
 
     def normal(self, w: np.ndarray) -> np.ndarray:
         return w - self.tangential(w)
 
 
-def _point_geometry(patch: Patch, t: np.ndarray, h: float) -> _PointGeometry:
+def _point_geometry(patch: Patch, t: np.ndarray, h: float,
+                    second: bool = False) -> _PointGeometry:
+    """Geometry at parameter points t (..., 4) from one map call on the
+    stacked stencil: 9 points per parameter point, or 33 with second, whose
+    Hessian then feeds the second fundamental form."""
     t = np.asarray(t, dtype=float)
-    p = patch.evaluate(t)
-    tang = _tangents(patch, t, h)
+    p, tang, *sec = _fd.jet(patch.evaluate, t, h, second)
     hmat = patch.chart.hermitian_at(p)
     g = metric_from_hermitian(hmat)
-    sv = np.linalg.svd(tang @ g @ tang.T, compute_uv=False)
-    if math.sqrt(float(sv[-1])) < RANK_TOL:
+    sv = np.linalg.svd(tang @ g @ np.swapaxes(tang, -1, -2), compute_uv=False)
+    if np.any(np.sqrt(sv[..., -1]) < RANK_TOL):
         raise RankError("dF loses rank at this point")
     frame, coeff = _gram_schmidt(tang, g)
     # v -> L.T @ complexify(v) is an isometry of the chart metric onto the model
@@ -213,55 +236,73 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float) -> _PointGeometry:
     model = realify(complexify(frame) @ l)
     st = standard_structure()
     omega = st.j.T @ g
-    a = model @ st.omega_mat @ model.T
-    c1, c2 = batch_kahler_cosines(model[None])
-    c1, c2 = float(c1[0]), float(c2[0])
-    dev = float(np.linalg.norm(hodge_star_plane(a) - a))
+    a = model @ st.omega_mat @ np.swapaxes(model, -1, -2)
+    c1, c2 = batch_kahler_cosines(model)
+    dev = np.linalg.norm(hodge_star_plane(a) - a, axis=(-2, -1))
     return _PointGeometry(
         t=t, p=p, tangents=tang, g=g, omega=omega, frame=frame, gs_coeff=coeff,
         model_frame=model, cos1=c1, cos2=c2, lam=0.5 * (c1 + c2), cayley_dev=dev,
+        sec=sec[0] if sec else None,
     )
 
 
 @dataclass(frozen=True)
 class PointReport:
+    """Report at one parameter point, or at a stack of them.
+
+    For t of shape (4,) the scalars are floats, tangent_plane is an
+    OrientedPlane4 and gamma is None where undefined.  For t of shape
+    (N, 4) every field gains a leading axis of length N: tangent_plane is
+    the (N, 4, 8) stack of model frames and gamma an (N, 4) array whose
+    undefined rows are NaN.
+    """
     t: np.ndarray
     point: np.ndarray
-    tangent_plane: OrientedPlane4          # in the unitary ambient frame
+    tangent_plane: OrientedPlane4 | np.ndarray   # in the unitary ambient frame
     frame_chart: np.ndarray
-    cos1: float
-    cos2: float
-    lam: float
-    cayley_dev: float
-    h_tensor: np.ndarray                   # (4, 4, 8), frame arguments, chart values
+    cos1: float | np.ndarray
+    cos2: float | np.ndarray
+    lam: float | np.ndarray
+    cayley_dev: float | np.ndarray
+    h_tensor: np.ndarray                   # (..., 4, 4, 8), frame arguments, chart values
     mean_curvature: np.ndarray
-    mean_curvature_norm: float
-    h_symmetry_dev: float
+    mean_curvature_norm: float | np.ndarray
+    h_symmetry_dev: float | np.ndarray
     gamma: np.ndarray | None               # parameter coframe, variant A
 
     def to_json(self) -> dict:
+        gamma = None
+        if self.gamma is not None:
+            gamma = [None if np.isnan(row).any() else row.tolist()
+                     for row in np.atleast_2d(self.gamma)]
+            gamma = gamma if self.t.ndim == 2 else gamma[0]
         return {
             "t": self.t.tolist(),
             "point": self.point.tolist(),
-            "cos_theta1": self.cos1,
-            "cos_theta2": self.cos2,
-            "lambda": self.lam,
-            "cayley_deviation": self.cayley_dev,
-            "mean_curvature_norm": self.mean_curvature_norm,
-            "gamma": None if self.gamma is None else self.gamma.tolist(),
+            "cos_theta1": np.asarray(self.cos1).tolist(),
+            "cos_theta2": np.asarray(self.cos2).tolist(),
+            "lambda": np.asarray(self.lam).tolist(),
+            "cayley_deviation": np.asarray(self.cayley_dev).tolist(),
+            "mean_curvature_norm": np.asarray(self.mean_curvature_norm).tolist(),
+            "gamma": gamma,
         }
 
 
-def _second_fundamental(patch: Patch, geo: _PointGeometry, h: float):
-    """(h-tensor in the orthonormal frame, nabla and h of coordinate fields)."""
-    sec = _second_derivatives(patch, geo.t, h)
+def _second_fundamental(patch: Patch, geo: _PointGeometry):
+    """(h-tensor in the orthonormal frame, nabla and h of coordinate fields);
+    geo must carry second derivatives."""
     gamma_chr = patch.chart.christoffel_at(geo.p)
-    nab = sec + np.einsum("abc,ib,jc->ija", gamma_chr, geo.tangents, geo.tangents)
-    ii = np.empty_like(nab)
-    for i in range(4):
-        for j in range(4):
-            ii[i, j] = geo.normal(nab[i, j])
-    h_frame = np.einsum("ai,bj,ijc->abc", geo.gs_coeff, geo.gs_coeff, ii)
+    tang = geo.tangents
+    lead = tang.shape[:-2]
+    # Gamma(d_i F, d_j F)^a as batched matrix products:
+    # half[a, b, j] = Gamma^a_bc T[j, c], then [a, i, j] = T[i, b] half[a, b, j]
+    half = gamma_chr.reshape(lead + (DIM * DIM, DIM)) @ np.swapaxes(tang, -1, -2)
+    corr = tang[..., None, :, :] @ half.reshape(lead + (DIM, DIM, 4))
+    nab = geo.sec + np.moveaxis(corr, -3, -1)
+    ii = geo.normal(nab)
+    # h[a, b] = C[a, i] C[b, j] ii[i, j]
+    rows = (geo.gs_coeff @ ii.reshape(lead + (4, 4 * DIM))).reshape(ii.shape)
+    h_frame = geo.gs_coeff[..., None, :, :] @ rows
     return h_frame, nab, ii
 
 
@@ -271,27 +312,55 @@ def tangent_plane_at(patch: Patch, t: np.ndarray, h: float | None = None) -> Ori
     return OrientedPlane4(geo.model_frame)
 
 
+def _report_fields(patch: Patch, t: np.ndarray, h: float, want_gamma: bool) -> dict:
+    """PointReport fields, each with a leading axis, at a stack t (n, 4)."""
+    geo = _point_geometry(patch, t, h, second=True)
+    h_frame, _, _ = _second_fundamental(patch, geo)
+    mean = h_frame[:, 0, 0] + h_frame[:, 1, 1] + h_frame[:, 2, 2] + h_frame[:, 3, 3]
+    gamma = None
+    if want_gamma:
+        denom = np.where(geo.lam <= 1.0 - LAMBDA_GUARD, geo.lam * geo.lam - 1.0, np.nan)
+        gamma = np.einsum("nia,nab,nb->ni", geo.tangents, geo.omega, mean) / denom[:, None]
+    return dict(
+        t=geo.t, point=geo.p, tangent_plane=geo.model_frame, frame_chart=geo.frame,
+        cos1=geo.cos1, cos2=geo.cos2, lam=geo.lam, cayley_dev=geo.cayley_dev,
+        h_tensor=h_frame, mean_curvature=mean,
+        mean_curvature_norm=np.sqrt(np.einsum("na,nab,nb->n", mean, geo.g, mean)),
+        h_symmetry_dev=np.max(np.abs(h_frame - h_frame.transpose(0, 2, 1, 3)), axis=(1, 2, 3)),
+        gamma=gamma,
+    )
+
+
 def point_report(patch: Patch, t: np.ndarray, h: float | None = None,
                  want_gamma: bool = True) -> PointReport:
+    """Tangent plane, angles and second fundamental form at parameter points.
+
+    t is one point (4,) or a stack (N, 4); a single point is a batch of
+    one, and stacks are computed CHUNK points at a time (see PointReport).
+    """
     h = _step(patch, h)
-    geo = _point_geometry(patch, t, h)
-    h_frame, _, _ = _second_fundamental(patch, geo, h)
-    mean = h_frame[0, 0] + h_frame[1, 1] + h_frame[2, 2] + h_frame[3, 3]
-    hnorm = math.sqrt(float(mean @ geo.g @ mean))
-    sym = float(np.max(np.abs(h_frame - h_frame.transpose(1, 0, 2))))
-    gamma = None
-    if want_gamma and geo.lam <= 1.0 - LAMBDA_GUARD:
-        denom = geo.lam * geo.lam - 1.0
-        gamma = np.array([float(geo.tangents[i] @ geo.omega @ mean) / denom
-                          for i in range(4)])
-    return PointReport(
-        t=geo.t, point=geo.p,
-        tangent_plane=OrientedPlane4(geo.model_frame),
-        frame_chart=geo.frame,
-        cos1=geo.cos1, cos2=geo.cos2, lam=geo.lam, cayley_dev=geo.cayley_dev,
-        h_tensor=h_frame, mean_curvature=mean, mean_curvature_norm=hnorm,
-        h_symmetry_dev=sym, gamma=gamma,
-    )
+    t = np.asarray(t, dtype=float)
+    if t.ndim not in (1, 2) or t.shape[-1] != 4 or t.size == 0:
+        raise ValueError(f"t must be a point (4,) or a stack (N, 4), got shape {t.shape}")
+    pts = np.atleast_2d(t)
+    f: dict = {}
+    for start in range(0, len(pts), CHUNK):
+        part = _report_fields(patch, pts[start:start + CHUNK], h, want_gamma)
+        for k, v in part.items():
+            if k not in f:
+                f[k] = None if v is None else np.empty((len(pts),) + v.shape[1:])
+            if v is not None:
+                f[k][start:start + CHUNK] = v
+    if t.ndim == 2:
+        require_orthonormal(f["tangent_plane"])
+        return PointReport(**f)
+    f = {k: None if v is None else v[0] for k, v in f.items()}
+    for k in ("cos1", "cos2", "lam", "cayley_dev", "mean_curvature_norm", "h_symmetry_dev"):
+        f[k] = float(f[k])
+    f["tangent_plane"] = OrientedPlane4(f["tangent_plane"])
+    if f["gamma"] is not None and np.isnan(f["gamma"]).any():
+        f["gamma"] = None
+    return PointReport(**f)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +377,8 @@ class UnitaryFrameField:
     (Lagrangian regime) a plain metric Gram-Schmidt is used, which is a
     valid adapted frame when the restricted Kaehler form vanishes.  Paths
     are axis-ordered with a fixed number of steps per axis, so the frame
-    depends smoothly on the target point.
+    depends smoothly on the target point; the geometry of a whole path is
+    computed in one batch before the sequential re-orthonormalization.
     """
 
     def __init__(self, patch: Patch, h: float | None = None,
@@ -337,11 +407,11 @@ class UnitaryFrameField:
         return tuple(np.round(np.asarray(t, dtype=float), 12))
 
     def _orthonormalize(self, frame: np.ndarray, geo: _PointGeometry) -> np.ndarray:
+        """Re-orthonormalize a frame at one point (geo of a single point)."""
         if self.lagrangian_mode:
-            proj = np.vstack([geo.tangential(frame[k]) for k in range(4)])
-            e, _ = _gram_schmidt(proj, geo.g)
+            e, _ = _gram_schmidt(geo.tangential(frame), geo.g)
             return e
-        lam = geo.lam
+        lam = float(geo.lam)
         if lam < 0.01:
             raise ValueError("lambda dropped below the Cayley-frame regime")
         st = standard_structure()
@@ -359,16 +429,12 @@ class UnitaryFrameField:
         e4 = jop(e3)
         return np.vstack([e1, e2, e3, e4])
 
-    def _advance(self, frame: np.ndarray, t_next: np.ndarray) -> np.ndarray:
-        geo = _point_geometry(self.patch, t_next, self.h)
-        return self._orthonormalize(frame, geo)
-
     def cayley_frame(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         key = self._key(t)
         if key in self._cache:
             return self._apply_gauge(self._cache[key])
-        frame = self._seed
+        path = []
         cur = self.anchor.copy()
         for axis in range(4):
             delta = (t[axis] - self.anchor[axis]) / self.steps
@@ -376,8 +442,13 @@ class UnitaryFrameField:
                 nxt = cur.copy()
                 nxt[axis] = self.anchor[axis] + s * delta
                 if abs(delta) > 0:
-                    frame = self._advance(frame, nxt)
+                    path.append(nxt)
                 cur = nxt
+        frame = self._seed
+        if path:
+            geo = _point_geometry(self.patch, np.array(path), self.h)
+            for k in range(len(path)):
+                frame = self._orthonormalize(frame, geo[k])
         self._cache[key] = frame
         return self._apply_gauge(frame)
 
@@ -392,11 +463,13 @@ class UnitaryFrameField:
         return np.vstack([e1, e2, e3, e4])
 
     def unitary_frame(self, t: np.ndarray) -> np.ndarray:
-        frame = self.cayley_frame(t)
+        """Unitary gauge of the propagated frame at parameter points (..., 4)."""
+        t = np.asarray(t, dtype=float)
+        frames = np.array([self.cayley_frame(s) for s in t.reshape(-1, 4)])
         geo = _point_geometry(self.patch, t, self.h)
-        if geo.lam >= 1.0 - LAMBDA_GUARD:
+        if np.any(geo.lam >= 1.0 - LAMBDA_GUARD):
             raise ValueError("near-complex point: no unitary gauge")
-        return unitary_gauge(frame, geo.lam)
+        return unitary_gauge(frames.reshape(t.shape[:-1] + (4, DIM)), geo.lam)
 
 
 def gamma_form(patch: Patch, t: np.ndarray, h: float | None = None,
@@ -416,17 +489,13 @@ def gamma_form(patch: Patch, t: np.ndarray, h: float | None = None,
     st = standard_structure()
     gamma_chr = patch.chart.christoffel_at(geo.p)
     u0 = frame_field.unitary_frame(t)
-    ju = (st.j @ u0.T).T
+    ju = u0 @ st.j.T
     du = _fd.gradient(frame_field.unitary_frame, t, h)
-    gamma_b = np.empty(4)
-    for a in range(4):
-        total = 0.0
-        for k in range(4):
-            nab = du[a, k] + np.einsum("abc,b,c->a", gamma_chr, geo.tangents[a], u0[k])
-            total += float(nab @ geo.g @ ju[k])
-        # the frame trace computes the phase derivative of the complex volume
-        # form along the patch; gamma is its negative
-        gamma_b[a] = -total
+    # nabla_{d_a} u_k = d_a u_k + Gamma(d_a F, u_k)
+    nab = du + np.einsum("xbc,ab,kc->akx", gamma_chr, geo.tangents, u0)
+    # the frame trace computes the phase derivative of the complex volume
+    # form along the patch; gamma is its negative
+    gamma_b = -np.einsum("akx,xy,ky->a", nab, geo.g, ju)
     return {
         "gamma_a": rep.gamma,
         "gamma_b": gamma_b,
@@ -439,11 +508,9 @@ def gamma_form(patch: Patch, t: np.ndarray, h: float | None = None,
 # Submanifold identity checks
 # ---------------------------------------------------------------------------
 
-def _omega_pair(patch: Patch, t: np.ndarray, h: float,
-                first: np.ndarray, second: np.ndarray) -> float:
-    """omega on two constant-coefficient coordinate fields at parameter t."""
-    geo = _point_geometry(patch, t, h)
-    return float((first @ geo.tangents) @ geo.omega @ (second @ geo.tangents))
+def _pair(first: np.ndarray, m: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """first_k @ m_k @ second_k over the rows k (m may be shared)."""
+    return np.einsum("...a,...ab,...b->...", first, m, second)
 
 
 def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
@@ -462,57 +529,45 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
     h = _step(patch, h)
     if cayley_tol is None:
         cayley_tol = default_cayley_tol(h)
+    t = np.asarray(t, dtype=float)
     rng = np.random.default_rng(seed)
-    geo = _point_geometry(patch, t, h)
+    geo = _point_geometry(patch, t, h, second=True)
     st = standard_structure()
-    h_frame, nab, ii = _second_fundamental(patch, geo, h)
+    tang, g, om = geo.tangents, geo.g, geo.omega
+    h_frame, nab, ii = _second_fundamental(patch, geo)
     # the tangential connection on coordinate fields
-    dtang = np.empty_like(nab)
-    for i in range(4):
-        for j in range(4):
-            dtang[i, j] = geo.tangential(nab[i, j])
+    dtang = geo.tangential(nab)
 
-    res1 = []
-    for _ in range(n_triples):
-        x, y, z = rng.standard_normal((3, 4))
-        hxy = np.einsum("i,j,ijc->c", x, y, ii)
-        hxz = np.einsum("i,j,ijc->c", x, z, ii)
-        jz = st.j @ (z @ geo.tangents)
-        jy = st.j @ (y @ geo.tangents)
-        lhs = float(hxy @ geo.g @ jz) - float(hxz @ geo.g @ jy)
-
-        fwd = _omega_pair(patch, t + h * x, h, z, y)
-        bwd = _omega_pair(patch, t - h * x, h, z, y)
-        d_along = (fwd - bwd) / (2.0 * h)
-        dxz = np.einsum("i,j,ijc->c", x, z, dtang)
-        dxy = np.einsum("i,j,ijc->c", x, y, dtang)
-        yv = y @ geo.tangents
-        zv = z @ geo.tangents
-        rhs = (d_along - float(dxz @ geo.omega @ yv) - float(zv @ geo.omega @ dxy))
-        res1.append(abs(lhs - rhs))
+    x, y, z = rng.standard_normal((n_triples, 3, 4)).transpose(1, 0, 2)
+    hxy = np.einsum("ki,kj,ijc->kc", x, y, ii)
+    hxz = np.einsum("ki,kj,ijc->kc", x, z, ii)
+    yv, zv = y @ tang, z @ tang
+    lhs = _pair(hxy, g, zv @ st.j.T) - _pair(hxz, g, yv @ st.j.T)
+    # omega(Z, Y) at t +- h X, one geometry batch for all triples
+    side = _point_geometry(patch, np.concatenate([t + h * x, t - h * x]), h)
+    zz, yy = np.concatenate([z, z]), np.concatenate([y, y])
+    pair = _pair(np.einsum("ki,kia->ka", zz, side.tangents), side.omega,
+                 np.einsum("ki,kia->ka", yy, side.tangents))
+    d_along = (pair[:n_triples] - pair[n_triples:]) / (2.0 * h)
+    dxz = np.einsum("ki,kj,ijc->kc", x, z, dtang)
+    dxy = np.einsum("ki,kj,ijc->kc", x, y, dtang)
+    rhs = d_along - _pair(dxz, om, yv) - _pair(zv, om, dxy)
+    res1 = np.abs(lhs - rhs)
 
     identity2_max = None
     if geo.cayley_dev <= cayley_tol:
         mean = h_frame[0, 0] + h_frame[1, 1] + h_frame[2, 2] + h_frame[3, 3]
-        res2 = []
-        for _ in range(n_triples):
-            x = rng.standard_normal(4)
-            xv = x @ geo.tangents
-            lhs = float(xv @ geo.omega @ mean)
-            total = 0.0
-            xcoef = geo.frame @ geo.g @ xv      # X in the orthonormal frame
-            for a in range(4):
-                hxe = np.einsum("i,ic->c", xcoef, h_frame[:, a])
-                je = st.j @ geo.frame[a]
-                total += float(hxe @ geo.g @ je)
-            res2.append(abs(lhs - total))
-        identity2_max = float(np.max(res2))
+        xv = rng.standard_normal((n_triples, 4)) @ tang
+        xcoef = xv @ (geo.frame @ g).T               # X in the orthonormal frame
+        hxe = np.einsum("ki,iac->kac", xcoef, h_frame)
+        total = np.einsum("kac,cd,ad->k", hxe, g, geo.frame @ st.j.T)
+        identity2_max = float(np.max(np.abs(_pair(xv, om, mean) - total)))
 
     return {
         "identity1_max": float(np.max(res1)),
         "identity2_max": identity2_max,
         "h_symmetry_dev": float(np.max(np.abs(h_frame - h_frame.transpose(1, 0, 2)))),
-        "cayley_deviation": geo.cayley_dev,
+        "cayley_deviation": float(geo.cayley_dev),
         "fd_step": h,
     }
 
@@ -520,28 +575,27 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
 def coclosure_residual(patch: Patch, t: np.ndarray, h: float | None = None) -> float:
     """Max over X of |d*(omega|_N)(X)| = |sum_a (D_{e_a} omega)(e_a, X)|."""
     h = _step(patch, h)
-    geo = _point_geometry(patch, t, h)
-    _, nab, _ = _second_fundamental(patch, geo, h)
+    t = np.asarray(t, dtype=float)
+    geo = _point_geometry(patch, t, h, second=True)
+    _, nab, _ = _second_fundamental(patch, geo)
     gamma_chr = patch.chart.christoffel_at(geo.p)
-    totals = np.zeros(4)
-    for a in range(4):
-        w = geo.gs_coeff[a]                         # e_a in parameter coordinates
-        gp = _point_geometry(patch, t + h * w, h)
-        gm = _point_geometry(patch, t - h * w, h)
-        # D_{e_a} e_a, with the Gram-Schmidt frame as the frame field
-        dframe = (gp.frame[a] - gm.frame[a]) / (2.0 * h)
-        wamb = w @ geo.tangents
-        d_ea = geo.tangential(dframe + np.einsum("abc,b,c->a",
-                                                 gamma_chr, wamb, geo.frame[a]))
-        for bx in range(4):
-            fp = float(gp.frame[a] @ gp.omega @ gp.tangents[bx])
-            fm = float(gm.frame[a] @ gm.omega @ gm.tangents[bx])
-            d_along = (fp - fm) / (2.0 * h)
-            d_x = geo.tangential(np.einsum("i,ijc->jc", w, nab)[bx])
-            totals[bx] += (d_along
-                           - float(d_ea @ geo.omega @ geo.tangents[bx])
-                           - float(geo.frame[a] @ geo.omega @ d_x))
-    return float(np.max(np.abs(totals)))
+    w = geo.gs_coeff                        # e_a in parameter coordinates (rows)
+    side = _point_geometry(patch, np.concatenate([t + h * w, t - h * w]), h)
+    a = np.arange(4)
+    gp, gm = side[:4], side[4:]
+    fp_a, fm_a = gp.frame[a, a], gm.frame[a, a]          # e_a at t +- h e_a
+    # D_{e_a} e_a, with the Gram-Schmidt frame as the frame field
+    dframe = (fp_a - fm_a) / (2.0 * h)
+    wamb = w @ geo.tangents
+    d_ea = geo.tangential(dframe + np.einsum("xbc,ab,ac->ax", gamma_chr, wamb, geo.frame))
+    fp = np.einsum("ax,axy,aby->ab", fp_a, gp.omega, gp.tangents)
+    fm = np.einsum("ax,axy,aby->ab", fm_a, gm.omega, gm.tangents)
+    d_along = (fp - fm) / (2.0 * h)
+    d_x = geo.tangential(np.einsum("ai,ijc->ajc", w, nab))
+    terms = (d_along
+             - np.einsum("ax,xy,by->ab", d_ea, geo.omega, geo.tangents)
+             - np.einsum("ax,xy,aby->ab", geo.frame, geo.omega, d_x))
+    return float(np.max(np.abs(terms.sum(axis=0))))
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +603,9 @@ def coclosure_residual(patch: Patch, t: np.ndarray, h: float | None = None) -> f
 # ---------------------------------------------------------------------------
 
 def _gamma_a_at(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
+    """Variant-A gamma at a stack of parameter points (N, 4)."""
     rep = point_report(patch, t, h)
-    if rep.gamma is None:
+    if np.isnan(rep.gamma).any():
         raise ValueError("gamma undefined (lambda too close to 1)")
     return rep.gamma
 
@@ -695,13 +750,9 @@ def verify_theorem_i(patch: Patch, alphas: np.ndarray | None = None,
     if points is None:
         points = patch.grid_points(interior=False)
     h = _step(patch, h)
-    hmax = 0.0
-    frames = []
-    for t in points:
-        rep = point_report(patch, t, h, want_gamma=False)
-        hmax = max(hmax, rep.mean_curvature_norm)
-        frames.append(rep.tangent_plane.frame)
-    frames = np.asarray(frames)
+    rep = point_report(patch, np.reshape(points, (-1, 4)), h, want_gamma=False)
+    hmax = float(np.max(rep.mean_curvature_norm))
+    frames = rep.tangent_plane
     w = omega0_values(frames)
     pf = wirtinger_values(frames)
     phi = (np.exp(1j * alphas)[:, None] * w[None, :]).real + pf[None, :]
@@ -781,15 +832,10 @@ def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
     if points is None:
         points = patch.grid_points(interior=False)
     ein = einstein_report(patch.chart, n_points=einstein_points)
-    hmax = 0.0
-    devmax = 0.0
-    lams = []
-    for t in points:
-        rep = point_report(patch, t, h, want_gamma=False)
-        hmax = max(hmax, rep.mean_curvature_norm)
-        devmax = max(devmax, rep.cayley_dev)
-        lams.append(rep.lam)
-    lmin, lmax = float(np.min(lams)), float(np.max(lams))
+    rep = point_report(patch, np.reshape(points, (-1, 4)), h, want_gamma=False)
+    hmax = float(np.max(rep.mean_curvature_norm))
+    devmax = float(np.max(rep.cayley_dev))
+    lmin, lmax = float(np.min(rep.lam)), float(np.max(rep.lam))
 
     def report(met, failed, branch):
         return EinsteinDichotomyReport(
@@ -813,12 +859,16 @@ def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
     return report(True, None, branch)
 
 
-def _lambda_sq_terms(geo: _PointGeometry) -> tuple[float, float, float]:
-    """(lambda^2, volume density, Pfaffian of the pulled-back omega)."""
-    gind = geo.tangents @ geo.g @ geo.tangents.T
-    dvol = math.sqrt(max(float(np.linalg.det(gind)), 0.0))
-    pull = geo.tangents @ geo.omega @ geo.tangents.T
-    return geo.lam ** 2, dvol, pfaffian4(pull)
+def _lambda_sq_terms(patch: Patch, points: np.ndarray, h: float) -> np.ndarray:
+    """Rows (lambda^2, volume density, Pfaffian of the pulled-back omega)
+    over the points (N, 4), computed CHUNK points at a time."""
+    parts = []
+    for start in range(0, len(points), CHUNK):
+        geo = _point_geometry(patch, points[start:start + CHUNK], h)
+        tt = np.swapaxes(geo.tangents, -1, -2)
+        dvol = np.sqrt(np.maximum(np.linalg.det(geo.tangents @ geo.g @ tt), 0.0))
+        parts.append([geo.lam ** 2, dvol, pfaffian4(geo.tangents @ geo.omega @ tt)])
+    return np.concatenate(parts, axis=1)
 
 
 def l2_lambda_invariant(patch: Patch, h: float | None = None) -> dict:
@@ -833,16 +883,13 @@ def l2_lambda_invariant(patch: Patch, h: float | None = None) -> dict:
     h = _step(patch, h)
     pts = patch.grid_points()
     cell = patch.cell_volume()
-    lhs = 0.0
-    rhs = 0.0
-    for t in pts:
-        lam_sq, dvol, pf = _lambda_sq_terms(_point_geometry(patch, t, h))
-        lhs += lam_sq * dvol
-        rhs += pf
+    lam_sq, dvol, pf = _lambda_sq_terms(patch, pts, h)
+    lhs = float(np.sum(lam_sq * dvol)) * cell
+    rhs = float(np.sum(pf)) * cell
     return {
-        "lambda_sq_integral": lhs * cell,
-        "half_omega_sq_integral": float(rhs) * cell,
-        "difference": abs(lhs * cell - float(rhs) * cell),
+        "lambda_sq_integral": lhs,
+        "half_omega_sq_integral": rhs,
+        "difference": abs(lhs - rhs),
         "n_points": len(pts),
     }
 
@@ -858,12 +905,8 @@ def lambda_square_field(patch: Patch, points: np.ndarray | None = None,
     h = _step(patch, h)
     if points is None:
         points = patch.grid_points(interior=False)
-    from_angles = np.empty(len(points))
-    from_pfaffian = np.empty(len(points))
-    for n, t in enumerate(points):
-        lam_sq, dvol, pf = _lambda_sq_terms(_point_geometry(patch, t, h))
-        from_angles[n] = lam_sq
-        from_pfaffian[n] = pf / dvol
+    from_angles, dvol, pf = _lambda_sq_terms(patch, np.reshape(points, (-1, 4)), h)
+    from_pfaffian = pf / dvol
     return {
         "from_angles": from_angles,
         "from_pfaffian": from_pfaffian,
@@ -890,7 +933,11 @@ def _affine_patch(params: dict, chart: KahlerChart) -> tuple[Callable, np.ndarra
     offset = np.asarray(params.get("offset", np.zeros(DIM)), dtype=float)
 
     def fmap(t):
-        return offset + t @ base
+        # summed term by term so that every row rounds the same way
+        out = offset + t[..., 0, None] * base[0]
+        for i in range(1, 4):
+            out = out + t[..., i, None] * base[i]
+        return out
 
     return fmap, np.array([[-0.5, 0.5]] * 4), (False,) * 4
 
@@ -901,12 +948,18 @@ def _complex_graph(params: dict, chart: KahlerChart):
     c = float(params.get("c", 0.25))
     d = float(params.get("d", 0.15))
 
+    def term(coef, u, v):
+        # coef * u * v in real arithmetic: complex array products may fuse
+        # multiply-adds, which would round rows of a stack differently
+        ur, ui = coef * u[0], coef * u[1]
+        return ur * v[0] - ui * v[1], ur * v[1] + ui * v[0]
+
     def fmap(t):
-        z1 = t[0] + 1j * t[1]
-        z2 = t[2] + 1j * t[3]
-        z3 = a * z1 * z1 + b * z1 * z2
-        z4 = c * z2 * z2 + d * z1 * z2
-        return realify(np.array([z1, z2, z3, z4]))
+        z1 = t[..., 0], t[..., 1]
+        z2 = t[..., 2], t[..., 3]
+        z3 = [p + q for p, q in zip(term(a, z1, z1), term(b, z1, z2))]
+        z4 = [p + q for p, q in zip(term(c, z2, z2), term(d, z1, z2))]
+        return np.stack([*z1, *z2, *z3, *z4], axis=-1)
 
     return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4
 
@@ -916,17 +969,17 @@ def _lagrangian_graph(params: dict, chart: KahlerChart):
     beta = float(params.get("beta", 0.5))
 
     def grad_f(t):
-        s = float(t @ t)
+        s = np.sum(t * t, axis=-1, keepdims=True)
         g = 4.0 * amp * s * t
         for k in range(4):
-            others = np.prod(np.delete(t, k))
-            g[k] += amp * beta * others
+            others = np.prod(np.delete(t, k, axis=-1), axis=-1)
+            g[..., k] += amp * beta * others
         return g
 
     def fmap(t):
-        out = np.empty(DIM)
-        out[0::2] = t
-        out[1::2] = grad_f(t)
+        out = np.empty(t.shape[:-1] + (DIM,))
+        out[..., 0::2] = t
+        out[..., 1::2] = grad_f(t)
         return out
 
     return fmap, np.array([[-0.5, 0.5]] * 4), (False,) * 4
@@ -934,15 +987,24 @@ def _lagrangian_graph(params: dict, chart: KahlerChart):
 
 def _circles(radii: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Product of circles of the given radii at angles t."""
-    out = np.empty(DIM)
-    out[0::2] = radii * np.cos(t)
-    out[1::2] = radii * np.sin(t)
+    out = np.empty(t.shape[:-1] + (DIM,))
+    out[..., 0::2] = radii * np.cos(t)
+    out[..., 1::2] = radii * np.sin(t)
     return out
 
 
 def _complex_plane(t: np.ndarray) -> np.ndarray:
     """The coordinate complex 2-plane C^2 x {0}."""
-    return realify(np.array([t[0] + 1j * t[1], t[2] + 1j * t[3], 0.0, 0.0]))
+    out = np.zeros(t.shape[:-1] + (DIM,))
+    out[..., :4] = t
+    return out
+
+
+def _angle_sum_shift(t: np.ndarray) -> np.ndarray:
+    """d_m Psi for Psi = cos(phi1 + phi2): (-sin, -sin, 0, 0)."""
+    out = np.zeros(t.shape)
+    out[..., 0] = out[..., 1] = -np.sin(t[..., 0] + t[..., 1])
+    return out
 
 
 def _product_torus(params: dict, chart: KahlerChart):
@@ -961,8 +1023,7 @@ def _perturbed_lagrangian_torus(params: dict, chart: KahlerChart):
     # the 1-form sum r_m^2 dphi_m stays closed, so the torus stays Lagrangian.
 
     def fmap(t):
-        d_psi = np.array([-np.sin(t[0] + t[1]), -np.sin(t[0] + t[1]), 0.0, 0.0])
-        return _circles(np.sqrt(r * r + eps * d_psi), t)
+        return _circles(np.sqrt(r * r + eps * _angle_sum_shift(t)), t)
 
     return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
@@ -973,8 +1034,8 @@ def _complex_torus(params: dict, chart: KahlerChart):
 
 def _fs_real_slice(params: dict, chart: KahlerChart):
     def fmap(t):
-        out = np.zeros(DIM)
-        out[0::2] = t
+        out = np.zeros(t.shape[:-1] + (DIM,))
+        out[..., 0::2] = t
         return out
 
     return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4
@@ -995,9 +1056,10 @@ def _fs_lagrangian_torus(params: dict, chart: KahlerChart):
     eps = float(params.get("eps", 0.02))
 
     def fmap(t):
-        d_psi = np.array([-np.sin(t[0] + t[1]), -np.sin(t[0] + t[1]), 0.0, 0.0])
-        mu = kappa + eps * d_psi
-        return _circles(np.sqrt(mu / (1.0 - np.sum(mu))), t)
+        mu = kappa + eps * _angle_sum_shift(t)
+        # sum(mu) >= 1 is past the chart: NaN or inf, which the chart rejects
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return _circles(np.sqrt(mu / (1.0 - np.sum(mu, axis=-1, keepdims=True))), t)
 
     return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
@@ -1006,10 +1068,10 @@ def _perturbed_real_slice(params: dict, chart: KahlerChart):
     eps = float(params.get("eps", 0.05))
 
     def fmap(t):
-        out = np.zeros(DIM)
-        out[0::2] = t
-        out[1] = eps * np.sin(t[1]) * np.cos(t[2])
-        out[3] = eps * np.sin(t[2] + t[3])
+        out = np.zeros(t.shape[:-1] + (DIM,))
+        out[..., 0::2] = t
+        out[..., 1] = eps * np.sin(t[..., 1]) * np.cos(t[..., 2])
+        out[..., 3] = eps * np.sin(t[..., 2] + t[..., 3])
         return out
 
     return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4

@@ -387,17 +387,16 @@ def cayley_basis(plane: OrientedPlane4, tol: float = CAYLEY_TOL) -> np.ndarray:
     return coords.T @ f
 
 
-def unitary_gauge(frame: np.ndarray, lam: float) -> np.ndarray:
+def unitary_gauge(frame: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """u_{2k} = (e_{2k} - lam J e_{2k-1}) / s, s = sqrt(1 - lam^2), on the rows
-    of a Cayley frame (e1, j e1, e3, j e3); callers keep lam away from 1."""
+    of Cayley frames (..., 4, 8) = (e1, j e1, e3, j e3) with lam of shape
+    (...); callers keep lam away from 1."""
     j = standard_structure().j
+    lam = np.asarray(lam, dtype=float)[..., None, None]
     s = np.sqrt(1.0 - lam * lam)
-    return np.vstack([
-        frame[0],
-        (frame[1] - lam * (j @ frame[0])) / s,
-        frame[2],
-        (frame[3] - lam * (j @ frame[2])) / s,
-    ])
+    u = frame.copy()
+    u[..., 1::2, :] = (frame[..., 1::2, :] - lam * (frame[..., 0::2, :] @ j.T)) / s
+    return u
 
 
 def unitary_from_cayley(frame: np.ndarray, lam: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cayley4 import (
+    ChartDomainError,
     covariant_derivative,
     einstein_report,
     flat_chart,
@@ -179,3 +180,23 @@ def test_non_finite_points_are_rejected(bad):
     for chart in (flat_chart(), fubini_study_chart()):
         with pytest.raises(ValueError):
             chart.hermitian_at(p)
+
+
+def test_batched_chart_calls_match_per_point_calls():
+    fs = fubini_study_chart()
+    pts = np.array(POINTS)
+    stack = pts.reshape(3, 1, 8)               # any leading axes
+    for name in ("hermitian_at", "metric_at", "christoffel_at", "ricci_form_at"):
+        method = getattr(fs, name)
+        batched = method(stack)
+        assert batched.shape[:2] == (3, 1)
+        for k, p in enumerate(POINTS):
+            np.testing.assert_allclose(batched[k, 0], method(p), rtol=0, atol=1e-13)
+
+
+def test_chart_domain_error_names_the_farthest_point():
+    fs = fubini_study_chart()
+    pts = np.zeros((3, 8))
+    pts[1, 0] = 2.5
+    with pytest.raises(ChartDomainError, match="2.5000"):
+        fs.hermitian_at(pts)

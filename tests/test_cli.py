@@ -177,6 +177,11 @@ def test_bad_grid_on_name_path_exits_2(capsys):
     assert _one_line_error(capsys)
 
 
+def test_invariant_suite_bad_grid_exits_2(capsys):
+    assert main(["invariant-suite", "--grid", "0", "5", "5", "5"]) == USAGE_ERROR
+    assert _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_frame_exits_2(bad, plane_file, tmp_path, capsys):
     frame = np.asarray(json.loads(open(plane_file).read())["frame"])
@@ -184,4 +189,38 @@ def test_non_finite_frame_exits_2(bad, plane_file, tmp_path, capsys):
     path = tmp_path / "nonfinite.json"
     path.write_text(json.dumps({"frame": frame.tolist()}))
     assert main(["analyze-plane", "--in", str(path)]) == USAGE_ERROR
+    assert _one_line_error(capsys)
+
+
+def test_spec_path_applies_grid_and_ambient_overrides(tmp_path, monkeypatch):
+    import cayley4.cli as cli_mod
+
+    seen = {}
+
+    def record(patch, tol):
+        seen["patch"] = patch
+        return []
+
+    monkeypatch.setattr(cli_mod, "_run_patch_checks", record)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "product-torus", "grid": {"n": [9, 9, 9, 9]},
+                                "ambient": "flat"}))
+    rc, _ = _run_json(["verify-patch", "--spec", str(spec), "--grid", "3", "3", "3", "3",
+                       "--ambient", "fubini-study"], tmp_path)
+    assert rc == 0
+    assert seen["patch"].grid_n == (3, 3, 3, 3)
+    assert seen["patch"].chart.name == "fubini-study"
+    # without the flags the spec's own fields stand
+    _run_json(["verify-patch", "--spec", str(spec)], tmp_path)
+    assert seen["patch"].grid_n == (9, 9, 9, 9)
+    assert seen["patch"].chart.name == "flat"
+
+
+def test_patch_leaving_its_chart_exits_2(tmp_path, capsys):
+    # sum(kappa) >= 1 puts the torus section outside the Fubini-Study chart
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "fs-lagrangian-torus",
+                                "params": {"kappa": [0.3, 0.3, 0.3, 0.2]},
+                                "grid": {"n": [5, 5, 5, 5]}}))
+    assert main(["verify-patch", "--spec", str(path)]) == USAGE_ERROR
     assert _one_line_error(capsys)

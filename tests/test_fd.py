@@ -1,4 +1,7 @@
-"""Central-difference stencils: exactness on quadratics, O(h^2) otherwise."""
+"""Central-difference stencils: exactness on quadratics, O(h^2) otherwise.
+
+Stencils call f once on a stack of points, so the test functions take
+points (..., n)."""
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ X0 = RNG.uniform(-1.0, 1.0, N)
 
 
 def _quadratic(x):
-    return 0.5 * np.einsum("i,j,ijkl->kl", x, x, Q) + np.einsum("i,ikl->kl", x, B) + C
+    return (0.5 * np.einsum("...i,...j,ijkl->...kl", x, x, Q)
+            + np.einsum("...i,ikl->...kl", x, B) + C)
 
 
 def test_quadratic_with_array_output_is_exact():
@@ -32,7 +36,7 @@ def test_scalar_output_and_differences():
     a = RNG.standard_normal(N)
 
     def f(x):
-        return float(np.sin(a @ x))
+        return np.sin(np.sum(x * a, axis=-1))
 
     h = 1e-2
     d = _fd.differences(f, X0, h)
@@ -48,7 +52,8 @@ def test_scalar_output_and_differences():
 
 
 def _smooth(x):
-    return np.array([np.exp(np.sin(x[0] + 2.0 * x[1]) * x[2]), np.cos(x @ x)])
+    return np.stack([np.exp(np.sin(x[..., 0] + 2.0 * x[..., 1]) * x[..., 2]),
+                     np.cos(np.sum(x * x, axis=-1))], axis=-1)
 
 
 def _smooth_derivatives(x):

@@ -109,6 +109,16 @@ def test_oriented_plane_rejects_non_orthonormal():
         OrientedPlane4(rng.standard_normal((4, 8)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_oriented_plane_rejects_non_finite_frames(bad):
+    # a NaN Gram deviation compares False against the tolerance, so the
+    # check must reject non-finite entries explicitly
+    frame = np.eye(4, 8)
+    frame[1, 5] = bad
+    with pytest.raises(ValueError):
+        OrientedPlane4(frame)
+
+
 def test_from_span_preserves_span_and_orientation():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((4, 8))

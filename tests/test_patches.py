@@ -7,6 +7,8 @@ import pytest
 
 from cayley4.multilinear import blade_distance
 from cayley4.patches import (
+    BUILTIN_PATCHES,
+    CHUNK,
     Patch,
     RankError,
     UnitaryFrameField,
@@ -71,7 +73,8 @@ def test_product_torus_mean_curvature_norm():
 def test_degenerate_map_raises():
     lg = builtin_patch("lagrangian-graph")
     bad = Patch(name="collapsed", chart=lg.chart,
-                map_fn=lambda t: np.concatenate([t[:3], [t[0]], np.zeros(4)]),
+                map_fn=lambda t: np.concatenate(
+                    [t[..., :3], t[..., :1], np.zeros(t.shape[:-1] + (4,))], axis=-1),
                 box=np.array([[-0.5, 0.5]] * 4))
     with pytest.raises(RankError):
         point_report(bad, T0)
@@ -338,3 +341,51 @@ def test_theorem_iii_order_after_exact_zero_is_inf(monkeypatch):
     assert rep.passes(1e-4)
     assert not rep.passes(1e-9)
     assert _no_nan_json(rep)
+
+
+# ------------------------------------------------------------ batch contract
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
+def test_builtin_maps_are_exact_row_by_row(name):
+    p = builtin_patch(name, grid_n=(3, 3, 3, 3))
+    pts = p.grid_points()
+    stacked = p.evaluate(pts)
+    assert stacked.shape == (len(pts), 8)
+    rows = np.array([p.evaluate(t) for t in pts])
+    np.testing.assert_array_equal(stacked, rows)
+    np.testing.assert_array_equal(p.evaluate(pts.reshape(3, -1, 4)),
+                                  stacked.reshape(3, -1, 8))
+
+
+@pytest.mark.parametrize("name", ["perturbed-real-slice", "fs-lagrangian-torus"])
+def test_point_report_batch_matches_single_points(name):
+    p = builtin_patch(name)
+    pts = p.grid_points()[:CHUNK + 13]           # not a multiple of the chunk
+    batch = point_report(p, pts)
+    assert batch.lam.shape == (len(pts),)
+    assert batch.tangent_plane.shape == (len(pts), 4, 8)
+    for k in (0, CHUNK - 1, CHUNK, len(pts) - 1):
+        one = point_report(p, pts[k])
+        assert isinstance(one.lam, float)
+        for field in ("point", "frame_chart", "lam", "cos1", "cos2", "cayley_dev",
+                      "h_tensor", "mean_curvature", "mean_curvature_norm",
+                      "h_symmetry_dev"):
+            np.testing.assert_allclose(getattr(batch, field)[k], getattr(one, field),
+                                       rtol=0, atol=1e-12, err_msg=field)
+        np.testing.assert_allclose(batch.tangent_plane[k], one.tangent_plane.frame,
+                                   rtol=0, atol=1e-12)
+        if one.gamma is None:
+            assert np.isnan(batch.gamma[k]).all()
+        else:
+            np.testing.assert_allclose(batch.gamma[k], one.gamma, rtol=0, atol=1e-12)
+    assert json.dumps(batch.to_json())           # undefined gamma rows are null
+
+
+def test_row_only_map_is_rejected_with_one_line_error():
+    lg = builtin_patch("lagrangian-graph")
+    row_only = Patch(name="row-only", chart=lg.chart, box=lg.box,
+                     map_fn=lambda t: np.concatenate([t, t]))
+    with pytest.raises(ValueError, match=r"\(\.\.\., 4\) to \(\.\.\., 8\)") as info:
+        point_report(row_only, T0)
+    assert "\n" not in str(info.value)
