@@ -1,8 +1,9 @@
 """Kaehler charts on C^4 given by a potential, with derived geometry.
 
 A chart is a coordinate ball in C^4 ~ R^8 (same coordinate order as the
-flat model, J constant standard) carrying a real potential K.  The
-Hermitian block is h_{j kbar} = d^2 K / dz_j dzbar_k, the real metric is
+flat model, J constant standard) carrying a real potential K and its
+Hermitian block h_{j kbar} = d^2 K / dz_j dzbar_k in closed form.  The
+real metric is
 
     g = (Hess K + J^T Hess K J) / 2,
 
@@ -20,11 +21,11 @@ stencils are those of the private `_fd` module.
 
 Every point-level method takes a point (8,) or a stack of points
 (..., 8) and returns its result with the same leading axes; potentials
-and closed-form Hermitian blocks follow the same contract.  Built-in
-charts supply the Hermitian block in closed form; charts defined only by
-a potential fall back to central differences for it (step h_metric), at
-the cost of less accurate curvature.  Non-finite points and points
-outside the chart ball raise ChartDomainError, a ValueError.
+and Hermitian blocks follow the same contract.  The Hermitian block is a
+required field: differencing a potential for it, under the further
+differences of the Ricci form, amplifies rounding past any useful
+curvature accuracy.  Non-finite points and points outside the chart ball
+raise ChartDomainError, a ValueError.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def metric_from_hermitian(h: np.ndarray) -> np.ndarray:
 class KahlerChart:
     name: str
     potential: Callable[[np.ndarray], np.ndarray]          # (..., 8) -> (...)
-    hermitian: Callable[[np.ndarray], np.ndarray] | None = None   # -> (..., 4, 4)
+    hermitian: Callable[[np.ndarray], np.ndarray]          # (..., 8) -> (..., 4, 4)
     radius: float | None = None
     h_metric: float = H_METRIC_DEFAULT
     h_curv: float = H_CURV_DEFAULT
@@ -92,21 +93,10 @@ class KahlerChart:
 
     # -- Hermitian block and real metric ---------------------------------
 
-    def _hermitian_fd(self, p: np.ndarray) -> np.ndarray:
-        """h_{j kbar} from the real Hessian of the potential (central diffs)."""
-        hess = _fd.hessian(self.potential, p, self.h_metric)
-        sxx = hess[..., 0::2, 0::2]
-        syy = hess[..., 1::2, 1::2]
-        sxy = hess[..., 0::2, 1::2]
-        syx = hess[..., 1::2, 0::2]
-        return 0.25 * ((sxx + syy) + 1j * (sxy - syx))
-
     def hermitian_at(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         self.check_inside(p)
-        if self.hermitian is not None:
-            return self.hermitian(p)
-        return self._hermitian_fd(p)
+        return self.hermitian(p)
 
     def metric_at(self, p: np.ndarray) -> np.ndarray:
         return metric_from_hermitian(self.hermitian_at(p))

@@ -5,6 +5,7 @@ import pytest
 
 from cayley4 import (
     ChartDomainError,
+    KahlerChart,
     covariant_derivative,
     einstein_report,
     flat_chart,
@@ -52,6 +53,11 @@ def test_fs_omega_is_j_transpose_g():
         assert np.allclose(om, -om.T, atol=1e-15)
         # J-invariance of the metric
         assert np.allclose(st.j.T @ g @ st.j, g, atol=1e-13)
+
+
+def test_chart_needs_a_hermitian_block():
+    with pytest.raises(TypeError, match="hermitian"):
+        KahlerChart(name="potential-only", potential=fubini_study_chart().potential)
 
 
 def test_fs_hermitian_matches_potential_hessian():

@@ -92,6 +92,17 @@ def test_verify_patch_schema(tmp_path):
         assert isinstance(c["passed"], bool)
 
 
+def test_verify_patch_runs_gamma_check_on_fs_lagrangian_torus(tmp_path):
+    # the finite-difference anchor plane is Cayley only to O(fd_step^2)
+    rc, out = _run_json(["verify-patch", "--name", "fs-lagrangian-torus",
+                         "--grid", "5", "5", "5", "5"], tmp_path)
+    assert rc == 0
+    check = next(c for c in out["checks"] if c["name"] == "gamma_variants_agree")
+    assert "skipped" not in check
+    assert check["passed"] is True
+    assert 0.0 < check["max_gap"] < 1e-4
+
+
 def test_verify_patch_tight_tolerance_fails(tmp_path):
     rc, out = _run_json(
         ["verify-patch", "--name", "product-torus", "--tol", "1e-16"], tmp_path)

@@ -334,7 +334,7 @@ def test_theorem_iii_order_after_exact_zero_is_inf(monkeypatch):
     p = builtin_patch("affine", {"theta1": 0.9, "theta2": 0.9}, grid_n=(5, 5, 5, 5))
     by_level = {p.fd_step: 2.2e-11, p.fd_step / 2: 0.0, p.fd_step / 4: 1.4e-9}
     monkeypatch.setattr("cayley4.patches._dgamma_residual",
-                        lambda patch, t, h, tol: by_level[h])
+                        lambda patch, t, h, tol: np.full(len(t), by_level[h]))
     rep = verify_theorem_iii(p)
     assert rep.residuals == (2.2e-11, 0.0, 1.4e-9)
     assert rep.orders == (float("inf"), float("inf"))
@@ -343,7 +343,43 @@ def test_theorem_iii_order_after_exact_zero_is_inf(monkeypatch):
     assert _no_nan_json(rep)
 
 
+def test_theorem_iii_batch_matches_single_probes():
+    # Cayley deviations of these probes lie in [0.118, 0.167] at every
+    # level, so a tolerance of 0.15 masks the same 8 of 16 at each one
+    p = builtin_patch("perturbed-real-slice")
+    probes = p.probe_points(per_axis=2, shrink=0.5)
+    batch = verify_theorem_iii(p, probes, cayley_tol=0.15)
+    singles, masked = [], 0
+    for t in probes:
+        try:
+            singles.append(verify_theorem_iii(p, [t], cayley_tol=0.15))
+        except ValueError as exc:
+            assert "every probe point was masked" in str(exc)
+            masked += 1
+    assert 0 < masked < len(probes)
+    assert batch.n_masked == masked + sum(s.n_masked for s in singles)
+    for k, res in enumerate(batch.residuals):
+        assert res == max(s.residuals[k] for s in singles)
+
+
 # ------------------------------------------------------------ batch contract
+
+
+@pytest.mark.parametrize("name, params", [("lagrangian-graph", {}),
+                                          ("affine", {"theta1": 0.7, "theta2": 0.7})])
+def test_cayley_frame_stack_matches_single_targets(name, params):
+    # both re-orthonormalization branches: Lagrangian Gram-Schmidt, j = B / lambda
+    p = builtin_patch(name, params)
+    ff = UnitaryFrameField(p)
+    assert ff.lagrangian_mode == (name == "lagrangian-graph")
+    moves = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.05, 0.0],
+                      [0.0, -0.2, 0.0, 0.15], [0.12, -0.2, 0.25, 0.05]])
+    targets = (ff.anchor + moves).reshape(2, 2, 4)
+    stack = ff.cayley_frame(targets)
+    assert stack.shape == (2, 2, 4, 8)
+    for k, t in enumerate(targets.reshape(-1, 4)):
+        np.testing.assert_array_equal(stack.reshape(-1, 4, 8)[k], ff.cayley_frame(t))
+    np.testing.assert_array_equal(stack[0, 0], ff._seed)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
