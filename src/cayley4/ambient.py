@@ -13,11 +13,11 @@ form is
 
     rho = - i d dbar log det(h),
 
-realized as a central-difference Hessian of log det(h) (step h_curv); the
+realized as a central-difference Hessian of log det(h) (step H_CURV); the
 sign is the one that makes the Fubini-Study chart Einstein with positive
 s (rho = (5/c) omega for the potential c log(1 + |z|^2)).  Christoffel
-symbols difference the metric with step h_metric, for every chart; all
-stencils are those of the private `_fd` module.
+symbols difference the metric with step H_METRIC, for every chart; both
+steps are module constants, and all stencils are those of `_fd`.
 
 Every point-level method takes a point (8,) or a stack of points
 (..., 8) and returns its result with the same leading axes; potentials
@@ -49,8 +49,8 @@ __all__ = [
     "einstein_report",
 ]
 
-H_METRIC_DEFAULT = 1e-4
-H_CURV_DEFAULT = 1e-3
+H_METRIC = 1e-4
+H_CURV = 1e-3
 
 
 class ChartDomainError(ValueError):
@@ -77,8 +77,6 @@ class KahlerChart:
     potential: Callable[[np.ndarray], np.ndarray]          # (..., 8) -> (...)
     hermitian: Callable[[np.ndarray], np.ndarray]          # (..., 8) -> (..., 4, 4)
     radius: float | None = None
-    h_metric: float = H_METRIC_DEFAULT
-    h_curv: float = H_CURV_DEFAULT
 
     def check_inside(self, p: np.ndarray) -> None:
         p = np.asarray(p, dtype=float)
@@ -107,11 +105,10 @@ class KahlerChart:
 
     # -- Connection and curvature ----------------------------------------
 
-    def christoffel_at(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
+    def christoffel_at(self, p: np.ndarray) -> np.ndarray:
         """Gamma[..., a, b, c] = Gamma^a_{bc} of the Levi-Civita connection."""
-        h = self.h_metric if step is None else step
         # the metric and dg[..., c, a, b] = d g_ab / d p_c from one stencil
-        g, dg = _fd.jet(self.metric_at, p, h)
+        g, dg = _fd.jet(self.metric_at, p, H_METRIC)
         ginv = np.linalg.inv(g)
         # S[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
         s = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
@@ -123,10 +120,9 @@ class KahlerChart:
             raise ValueError("Hermitian block is not positive definite here")
         return logdet.real
 
-    def ricci_form_at(self, p: np.ndarray, step: float | None = None) -> np.ndarray:
+    def ricci_form_at(self, p: np.ndarray) -> np.ndarray:
         """Ricci form matrix rho(e_a, e_b) = -(i d dbar log det h)(e_a, e_b)."""
-        h = self.h_curv if step is None else step
-        hess = _fd.hessian(self.log_det_h, p, h)
+        hess = _fd.hessian(self.log_det_h, p, H_CURV)
         j = standard_structure().j
         ginv_part = 0.5 * (hess + j.T @ hess @ j)
         return -(j.T @ ginv_part)
@@ -179,9 +175,9 @@ def fubini_study_chart(scale: float = 1.0, radius: float = 2.0) -> KahlerChart:
 
 
 def covariant_derivative(chart: KahlerChart, curve: Callable[[float], np.ndarray],
-                         field: Callable[[float], np.ndarray], t: float,
-                         step: float = 1e-4) -> np.ndarray:
+                         field: Callable[[float], np.ndarray], t: float) -> np.ndarray:
     """Levi-Civita derivative of a vector field along a curve at parameter t."""
+    step = H_METRIC
     p = np.asarray(curve(t), dtype=float)
     v = np.asarray(field(t), dtype=float)
     dv = (np.asarray(field(t + step)) - np.asarray(field(t - step))) / (2.0 * step)

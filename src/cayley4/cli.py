@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -41,6 +42,8 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _phase_grid(n: int) -> np.ndarray:
+    if n < 1:
+        raise InputError(f"--phases must be >= 1, got {n}")
     return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
 
 
@@ -71,10 +74,10 @@ def _load_frame(path: str) -> np.ndarray:
 
 
 def cmd_analyze_plane(args) -> int:
+    alphas = _phase_grid(args.phases)
     frame = _load_frame(args.input)
     plane = OrientedPlane4(frame)
     rep = planes.canonical_form(plane)
-    alphas = _phase_grid(args.phases)
     phi = hermitian.phi_values(frame[None], alphas)[:, 0]
     report = {
         "angle_report": rep.to_json(),
@@ -93,12 +96,12 @@ def cmd_analyze_plane(args) -> int:
 def cmd_scan(args) -> int:
     if args.n < 1:
         raise InputError("scan needs n >= 1")
+    alphas = _phase_grid(args.phases)
     rng = np.random.default_rng(args.seed)
     frames = hermitian.haar_frames(rng, args.n)
     c1, c2 = planes.batch_kahler_cosines(frames)
     theta1 = np.arccos(np.clip(c1, -1.0, 1.0))
     theta2 = np.arccos(np.clip(c2, -1.0, 1.0))
-    alphas = _phase_grid(args.phases)
     phi = hermitian.phi_values(frames, alphas)
     gap = np.abs(theta1 - theta2)
     cayley_mask = gap <= args.tol
@@ -128,6 +131,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_comass(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
+    if args.steps < 0:
+        raise InputError(f"--steps must be >= 0, got {args.steps}")
     form = hermitian.cayley_calibration(args.alpha).form
     detail = hermitian.comass_detail(form, n_samples=args.samples,
                                      refine_steps=args.steps, seed=args.seed)
@@ -205,17 +212,15 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
 
     if all_cayley and all_real:
         try:
-            ff = patches.UnitaryFrameField(patch)
-            gaps = [patches.gamma_form(patch, t, frame_field=ff)["max_abs_diff"]
-                    for t in probes[:4]]
-            checks.append({"name": "gamma_variants_agree",
-                           "passed": bool(max(gaps) <= 1e-4),
-                           "max_gap": float(max(gaps))})
+            gap = patches.gamma_form(patch, probes[:4])["max_abs_diff"]
+            checks.append({"name": "gamma_variants_agree", "passed": bool(gap <= 1e-4),
+                           "max_gap": gap})
         except ambient.ChartDomainError:
             raise
         except ValueError as exc:
-            checks.append({"name": "gamma_variants_agree", "passed": True,
-                           "skipped": str(exc)})
+            # a numerical breakdown of the check is a failure, not a skip
+            checks.append({"name": "gamma_variants_agree", "passed": False,
+                           "error": str(exc)})
         rep3 = patches.verify_theorem_iii(patch)
         checks.append({"name": "theorem_iii", "passed": rep3.passes(tol),
                        **rep3.to_json()})
@@ -257,6 +262,8 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
 
 
 def cmd_verify_patch(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be finite and > 0, got {args.tol}")
     patch = _patch_from_args(args)
     tol = args.tol if args.tol is not None else (1e-4 if patch.chart.name == "flat"
                                                  else 1e-3)

@@ -17,16 +17,19 @@ the submanifold identities for h, the identity d(gamma) = rho restricted
 to the patch, the calibrated/minimal dichotomies, and the quadrature
 identity int lambda^2 dvol = (1/2) int omega^2.
 
-Every point-level routine works on stacks of points, and a single point
-is a batch of one.  A patch map takes parameter points (..., 4) to chart
-points (..., 8) (Patch.evaluate rejects any other output shape); a
+Point routines work on stacks of points, and a single point is a batch
+of one; only verify_h_symmetry, coclosure_residual and tangent_plane_at
+take a single point.  A patch map takes parameter points (..., 4) to
+chart points (..., 8) (Patch.evaluate rejects any other output shape); a
 derivative stencil calls it once on all of its points, and grid-wide
-checks run CHUNK points per batch to bound memory.  The frame transport
-moves all of its targets in lockstep along their paths, and Theorem III
+checks run CHUNK points per batch to bound memory.  gamma_form computes
+the geometry of its points once; the frame transport moves all of its
+targets in lockstep, one geometry batch per axis leg; Theorem III
 evaluates all probes of a step-halving level in one pass.
 
-All finite differencing is central (the `_fd` stencils; step fd_step
-unless an explicit h > 0 is passed); halving the step should show O(h^2)
+All finite differencing is central (the `_fd` stencils) with the patch's
+fd_step, its only step: dataclasses.replace(patch, fd_step=h) gives the
+same patch with another.  Halving the step should show O(h^2)
 behaviour, and the convergence reports implement exactly that check.
 Residuals that sit at the rounding floor on every level (this happens for
 product tori, whose truncation error is closed by symmetry) are reported
@@ -37,7 +40,7 @@ order (finer residual at the floor, or coarser one exactly 0) gets inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -110,7 +113,9 @@ class Patch:
         if b.shape != (4, 2):
             raise ValueError("box must be (4, 2)")
         object.__setattr__(self, "box", b)
-        _step(self, None)                 # rejects a bad fd_step
+        h = self.fd_step
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"finite-difference step must be finite and > 0, got {h}")
         for n, per in zip(self.grid_n, self.periodic):
             if n < (1 if per else 2):
                 raise ValueError(f"grid_n {tuple(self.grid_n)} needs at least 2 "
@@ -155,14 +160,6 @@ class Patch:
 
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings()))
-
-
-def _step(patch: Patch, h: float | None) -> float:
-    """The explicit step h, or the patch's fd_step when h is None."""
-    h = patch.fd_step if h is None else h
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"finite-difference step must be finite and > 0, got {h}")
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +291,8 @@ class PointReport:
 
 
 def _second_fundamental(patch: Patch, geo: _PointGeometry):
-    """(h-tensor in the orthonormal frame, nabla and h of coordinate fields);
-    geo must carry second derivatives."""
+    """(h-tensor in the orthonormal frame, nabla and h of coordinate fields,
+    Christoffel symbols at the points); geo must carry second derivatives."""
     gamma_chr = patch.chart.christoffel_at(geo.p)
     tang = geo.tangents
     lead = tang.shape[:-2]
@@ -308,24 +305,33 @@ def _second_fundamental(patch: Patch, geo: _PointGeometry):
     # h[a, b] = C[a, i] C[b, j] ii[i, j]
     rows = (geo.gs_coeff @ ii.reshape(lead + (4, 4 * DIM))).reshape(ii.shape)
     h_frame = geo.gs_coeff[..., None, :, :] @ rows
-    return h_frame, nab, ii
+    return h_frame, nab, ii, gamma_chr
 
 
-def tangent_plane_at(patch: Patch, t: np.ndarray, h: float | None = None) -> OrientedPlane4:
+def _mean(h_frame: np.ndarray) -> np.ndarray:
+    """Mean curvature vectors, the traces of h-tensors (n, 4, 4, 8)."""
+    return h_frame[:, 0, 0] + h_frame[:, 1, 1] + h_frame[:, 2, 2] + h_frame[:, 3, 3]
+
+
+def _gamma_a(geo: _PointGeometry, mean: np.ndarray) -> np.ndarray:
+    """Variant-A gamma omega(d_i F, H) / (lambda^2 - 1) at a stack of n
+    points, (n, 4); NaN rows where lambda is too close to 1."""
+    denom = np.where(geo.lam <= 1.0 - LAMBDA_GUARD, geo.lam * geo.lam - 1.0, np.nan)
+    return np.einsum("nia,nab,nb->ni", geo.tangents, geo.omega, mean) / denom[:, None]
+
+
+def tangent_plane_at(patch: Patch, t: np.ndarray) -> OrientedPlane4:
     """Oriented tangent plane in a unitary ambient frame at the point."""
-    geo = _point_geometry(patch, t, _step(patch, h))
+    geo = _point_geometry(patch, t, patch.fd_step)
     return OrientedPlane4(geo.model_frame)
 
 
-def _report_fields(patch: Patch, t: np.ndarray, h: float, want_gamma: bool) -> dict:
+def _report_fields(patch: Patch, t: np.ndarray, want_gamma: bool) -> dict:
     """PointReport fields, each with a leading axis, at a stack t (n, 4)."""
-    geo = _point_geometry(patch, t, h, second=True)
-    h_frame, _, _ = _second_fundamental(patch, geo)
-    mean = h_frame[:, 0, 0] + h_frame[:, 1, 1] + h_frame[:, 2, 2] + h_frame[:, 3, 3]
-    gamma = None
-    if want_gamma:
-        denom = np.where(geo.lam <= 1.0 - LAMBDA_GUARD, geo.lam * geo.lam - 1.0, np.nan)
-        gamma = np.einsum("nia,nab,nb->ni", geo.tangents, geo.omega, mean) / denom[:, None]
+    geo = _point_geometry(patch, t, patch.fd_step, second=True)
+    h_frame = _second_fundamental(patch, geo)[0]
+    mean = _mean(h_frame)
+    gamma = _gamma_a(geo, mean) if want_gamma else None
     return dict(
         t=geo.t, point=geo.p, tangent_plane=geo.model_frame, frame_chart=geo.frame,
         cos1=geo.cos1, cos2=geo.cos2, lam=geo.lam, cayley_dev=geo.cayley_dev,
@@ -336,21 +342,19 @@ def _report_fields(patch: Patch, t: np.ndarray, h: float, want_gamma: bool) -> d
     )
 
 
-def point_report(patch: Patch, t: np.ndarray, h: float | None = None,
-                 want_gamma: bool = True) -> PointReport:
+def point_report(patch: Patch, t: np.ndarray, want_gamma: bool = True) -> PointReport:
     """Tangent plane, angles and second fundamental form at parameter points.
 
     t is one point (4,) or a stack (N, 4); a single point is a batch of
     one, and stacks are computed CHUNK points at a time (see PointReport).
     """
-    h = _step(patch, h)
     t = np.asarray(t, dtype=float)
     if t.ndim not in (1, 2) or t.shape[-1] != 4 or t.size == 0:
         raise ValueError(f"t must be a point (4,) or a stack (N, 4), got shape {t.shape}")
     pts = np.atleast_2d(t)
     f: dict = {}
     for start in range(0, len(pts), CHUNK):
-        part = _report_fields(patch, pts[start:start + CHUNK], h, want_gamma)
+        part = _report_fields(patch, pts[start:start + CHUNK], want_gamma)
         for k, v in part.items():
             if k not in f:
                 f[k] = None if v is None else np.empty((len(pts),) + v.shape[1:])
@@ -384,18 +388,18 @@ class UnitaryFrameField:
     plain metric Gram-Schmidt is used, which is a valid adapted frame when
     the restricted Kaehler form vanishes.  Paths are axis-ordered with
     FRAME_STEPS steps per axis, so the frame depends smoothly on the target
-    point.  All targets of a call move in lockstep: the geometry of every
-    path point comes from one batch, and each step re-orthonormalizes the
-    whole stack of frames.
+    point.  All targets of a call move in lockstep: each axis leg of their
+    paths is one geometry batch (the last one also holds the targets), and
+    each step re-orthonormalizes the whole stack of frames.  Stencils use
+    the patch's fd_step.
     """
 
-    def __init__(self, patch: Patch, h: float | None = None, gauge: float = 0.0):
+    def __init__(self, patch: Patch, gauge: float = 0.0):
         self.patch = patch
-        self.h = _step(patch, h)
         self.anchor = 0.5 * (patch.box[:, 0] + patch.box[:, 1])
         self.gauge = float(gauge)
-        geo = _point_geometry(patch, self.anchor, self.h)
-        if not geo.cayley_dev <= default_cayley_tol(self.h):
+        geo = _point_geometry(patch, self.anchor, patch.fd_step)
+        if not geo.cayley_dev <= default_cayley_tol(patch.fd_step):
             raise ValueError("frame field needs a Cayley anchor point")
         self.lagrangian_mode = bool(geo.lam <= 0.05)
         rep = canonical_form(OrientedPlane4(geo.model_frame))
@@ -429,27 +433,33 @@ class UnitaryFrameField:
         e3 /= norm(e3)
         return np.stack([e1, e2, e3, jop(e3)], axis=-2)
 
-    def cayley_frame(self, t: np.ndarray) -> np.ndarray:
-        """Transported Cayley frames at parameter points (..., 4): (..., 4, 8)."""
-        t = np.asarray(t, dtype=float)
+    def _transport(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gauged Cayley frames (..., 4, 8) at parameter points t (..., 4),
+        and lambda (...) there."""
         targets = t.reshape(-1, 4)
         delta = (targets - self.anchor) / FRAME_STEPS
         steps = np.arange(1, FRAME_STEPS + 1)[:, None]
-        # path[a, s - 1]: earlier axes at the end of their leg, axis a at step s
-        path = np.empty((4, FRAME_STEPS) + targets.shape)
+        frame = np.repeat(self._seed[None], len(targets), axis=0)
         cur = np.broadcast_to(self.anchor, targets.shape)
         for a in range(4):
-            path[a] = cur
-            path[a, :, :, a] = self.anchor[a] + steps * delta[:, a]
-            cur = path[a, -1]
-        geo = _point_geometry(self.patch, path, self.h)
-        frame = np.repeat(self._seed[None], len(targets), axis=0)
-        for a in range(4):
+            # leg[s - 1]: earlier axes at the end of their leg, axis a at step s
+            leg = np.empty((FRAME_STEPS,) + targets.shape)
+            leg[:] = cur
+            leg[:, :, a] = self.anchor[a] + steps * delta[:, a]
+            cur = leg[-1]
+            if a == 3:
+                leg = np.concatenate([leg, targets[None]])
+            geo = _point_geometry(self.patch, leg, self.patch.fd_step)
             # a target that does not move along this axis keeps its frame
             moved = (delta[:, a] != 0)[:, None, None]
             for s in range(FRAME_STEPS):
-                frame = np.where(moved, self._orthonormalize(frame, geo[a, s]), frame)
-        return self._apply_gauge(frame.reshape(t.shape[:-1] + (4, DIM)))
+                frame = np.where(moved, self._orthonormalize(frame, geo[s]), frame)
+        lead = t.shape[:-1]
+        return self._apply_gauge(frame.reshape(lead + (4, DIM))), geo.lam[-1].reshape(lead)
+
+    def cayley_frame(self, t: np.ndarray) -> np.ndarray:
+        """Transported Cayley frames at parameter points (..., 4): (..., 4, 8)."""
+        return self._transport(np.asarray(t, dtype=float))[0]
 
     def _apply_gauge(self, frame: np.ndarray) -> np.ndarray:
         if self.gauge == 0.0:
@@ -461,41 +471,42 @@ class UnitaryFrameField:
 
     def unitary_frame(self, t: np.ndarray) -> np.ndarray:
         """Unitary gauge of the transported frame at parameter points (..., 4)."""
-        frames = self.cayley_frame(t)
-        geo = _point_geometry(self.patch, t, self.h)
-        if np.any(geo.lam >= 1.0 - LAMBDA_GUARD):
+        frames, lam = self._transport(np.asarray(t, dtype=float))
+        if np.any(lam >= 1.0 - LAMBDA_GUARD):
             raise ValueError("near-complex point: no unitary gauge")
-        return unitary_gauge(frames, geo.lam)
+        return unitary_gauge(frames, lam)
 
 
-def gamma_form(patch: Patch, t: np.ndarray, h: float | None = None,
-               frame_field: UnitaryFrameField | None = None) -> dict:
-    """Both routes to gamma at a parameter point (parameter coframe).
+def gamma_form(patch: Patch, t: np.ndarray, gauge: float = 0.0) -> dict:
+    """Both routes to gamma at parameter points t (4,) or (..., 4), in the
+    parameter coframe.
 
-    Variant A is omega(., H) / (lambda^2 - 1); variant B differentiates a
-    propagated unitary frame.  Totally real Cayley points only.
+    Variant A is omega(., H) / (lambda^2 - 1); variant B differentiates the
+    unitary frame of a UnitaryFrameField with the given gauge.  Totally
+    real Cayley points only.  gamma_a and gamma_b have the shape of t,
+    lambda its leading axes (a float for one point); max_abs_diff is the
+    largest gap over all points.
     """
-    h = _step(patch, h)
-    rep = point_report(patch, t, h)
-    if rep.gamma is None:
+    t = np.asarray(t, dtype=float)
+    pts = t.reshape(-1, 4)
+    geo = _point_geometry(patch, pts, patch.fd_step, second=True)
+    h_frame, _, _, gamma_chr = _second_fundamental(patch, geo)
+    gamma_a = _gamma_a(geo, _mean(h_frame))
+    if np.isnan(gamma_a).any():
         raise ValueError("gamma needs lambda bounded away from 1")
-    if frame_field is None:
-        frame_field = UnitaryFrameField(patch, h=h)
-    geo = _point_geometry(patch, t, h)
-    st = standard_structure()
-    gamma_chr = patch.chart.christoffel_at(geo.p)
-    u0, du = _fd.jet(frame_field.unitary_frame, t, h)
-    ju = u0 @ st.j.T
+    u0, du = _fd.jet(UnitaryFrameField(patch, gauge).unitary_frame, pts, patch.fd_step)
+    ju = u0 @ standard_structure().j.T
     # nabla_{d_a} u_k = d_a u_k + Gamma(d_a F, u_k)
-    nab = du + np.einsum("xbc,ab,kc->akx", gamma_chr, geo.tangents, u0)
+    nab = du + np.einsum("nxbc,nab,nkc->nakx", gamma_chr, geo.tangents, u0)
     # the frame trace computes the phase derivative of the complex volume
     # form along the patch; gamma is its negative
-    gamma_b = -np.einsum("akx,xy,ky->a", nab, geo.g, ju)
+    gamma_b = -np.einsum("nakx,nxy,nky->na", nab, geo.g, ju)
+    lam = geo.lam.reshape(t.shape[:-1])
     return {
-        "gamma_a": rep.gamma,
-        "gamma_b": gamma_b,
-        "lambda": rep.lam,
-        "max_abs_diff": float(np.max(np.abs(rep.gamma - gamma_b))),
+        "gamma_a": gamma_a.reshape(t.shape),
+        "gamma_b": gamma_b.reshape(t.shape),
+        "lambda": float(lam) if t.ndim == 1 else lam,
+        "max_abs_diff": float(np.max(np.abs(gamma_a - gamma_b))),
     }
 
 
@@ -516,8 +527,7 @@ def _vmv(v: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
-                      h: float | None = None, seed: int = 0,
-                      cayley_tol: float | None = None) -> dict:
+                      seed: int = 0, cayley_tol: float | None = None) -> dict:
     """Residuals of the two mean-curvature identities at a point.
 
     Identity 1:  g(h(X,Y), JZ) - g(h(X,Z), JY) = (D_X omega)(Z, Y)
@@ -528,7 +538,7 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
     uses coclosure of the restricted Kaehler form, so it is only checked
     when the point is Cayley within tolerance (None otherwise).
     """
-    h = _step(patch, h)
+    h = patch.fd_step
     if cayley_tol is None:
         cayley_tol = default_cayley_tol(h)
     t = np.asarray(t, dtype=float)
@@ -536,7 +546,7 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
     geo = _point_geometry(patch, t, h, second=True)
     st = standard_structure()
     tang, g, om = geo.tangents, geo.g, geo.omega
-    h_frame, nab, ii = _second_fundamental(patch, geo)
+    h_frame, nab, ii, _ = _second_fundamental(patch, geo)
     # the tangential connection on coordinate fields
     dtang = geo.tangential(nab)
 
@@ -574,13 +584,12 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
     }
 
 
-def coclosure_residual(patch: Patch, t: np.ndarray, h: float | None = None) -> float:
+def coclosure_residual(patch: Patch, t: np.ndarray) -> float:
     """Max over X of |d*(omega|_N)(X)| = |sum_a (D_{e_a} omega)(e_a, X)|."""
-    h = _step(patch, h)
+    h = patch.fd_step
     t = np.asarray(t, dtype=float)
     geo = _point_geometry(patch, t, h, second=True)
-    _, nab, _ = _second_fundamental(patch, geo)
-    gamma_chr = patch.chart.christoffel_at(geo.p)
+    _, nab, _, gamma_chr = _second_fundamental(patch, geo)
     w = geo.gs_coeff                        # e_a in parameter coordinates (rows)
     side = _point_geometry(patch, np.concatenate([t + h * w, t - h * w]), h)
     a = np.arange(4)
@@ -605,8 +614,8 @@ def coclosure_residual(patch: Patch, t: np.ndarray, h: float | None = None) -> f
 # ---------------------------------------------------------------------------
 
 def _gamma_a_at(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
-    """Variant-A gamma at a stack of parameter points (N, 4)."""
-    rep = point_report(patch, t, h)
+    """Variant-A gamma at a stack of parameter points (N, 4), with step h."""
+    rep = point_report(replace(patch, fd_step=h), t)
     if np.isnan(rep.gamma).any():
         raise ValueError("gamma undefined (lambda too close to 1)")
     return rep.gamma
@@ -667,10 +676,9 @@ class ConvergenceReport:
         }
 
 
-def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None,
-                       h0: float | None = None, levels: int = 3,
+def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None, levels: int = 3,
                        cayley_tol: float | None = None) -> ConvergenceReport:
-    """Residual of d(gamma) = rho|_N with a step-halving convergence study.
+    """Residual of d(gamma) = rho|_N, halving the patch's fd_step per level.
 
     Probes that are not Cayley within tolerance, or are near complex, are
     masked out of the report (the identity is not asserted there).
@@ -678,11 +686,10 @@ def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None,
     if probes is None:
         probes = patch.probe_points(per_axis=2, shrink=0.5)
     probes = np.asarray(probes, dtype=float)
-    h0 = _step(patch, h0)
     residuals = []
     masked = 0
     for k in range(levels):
-        h = h0 / (2 ** k)
+        h = patch.fd_step / (2 ** k)
         tol_here = cayley_tol if cayley_tol is not None else default_cayley_tol(h)
         r = _dgamma_residual(patch, probes, h, tol_here)
         unmasked = ~np.isnan(r)
@@ -739,8 +746,7 @@ class CalibrationReport:
 
 
 def verify_theorem_i(patch: Patch, alphas: np.ndarray | None = None,
-                     tol_min: float = 1e-4, points: np.ndarray | None = None,
-                     h: float | None = None) -> CalibrationReport:
+                     tol_min: float = 1e-4, points: np.ndarray | None = None) -> CalibrationReport:
     """Calibrated/minimal dichotomy for pointwise Cayley patches (flat chart).
 
     Minimal patches must be calibrated by a single phase (complex patches by
@@ -750,8 +756,7 @@ def verify_theorem_i(patch: Patch, alphas: np.ndarray | None = None,
         alphas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     if points is None:
         points = patch.grid_points(interior=False)
-    h = _step(patch, h)
-    rep = point_report(patch, np.reshape(points, (-1, 4)), h, want_gamma=False)
+    rep = point_report(patch, np.reshape(points, (-1, 4)), want_gamma=False)
     hmax = float(np.max(rep.mean_curvature_norm))
     frames = rep.tangent_plane
     w = omega0_values(frames)
@@ -817,7 +822,6 @@ class EinsteinDichotomyReport:
 def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
                       lam_tol: float = 1e-4, cayley_tol: float | None = None,
                       points: np.ndarray | None = None,
-                      h: float | None = None,
                       einstein_points: int = 25) -> EinsteinDichotomyReport:
     """Minimal Cayley patches of a nonflat Einstein chart must be complex
     or Lagrangian; precondition failures are reported, never asserted over.
@@ -827,13 +831,12 @@ def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
     """
     from .ambient import einstein_report
 
-    h = _step(patch, h)
     if cayley_tol is None:
-        cayley_tol = default_cayley_tol(h)
+        cayley_tol = default_cayley_tol(patch.fd_step)
     if points is None:
         points = patch.grid_points(interior=False)
     ein = einstein_report(patch.chart, n_points=einstein_points)
-    rep = point_report(patch, np.reshape(points, (-1, 4)), h, want_gamma=False)
+    rep = point_report(patch, np.reshape(points, (-1, 4)), want_gamma=False)
     hmax = float(np.max(rep.mean_curvature_norm))
     devmax = float(np.max(rep.cayley_dev))
     lmin, lmax = float(np.min(rep.lam)), float(np.max(rep.lam))
@@ -860,19 +863,19 @@ def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
     return report(True, None, branch)
 
 
-def _lambda_sq_terms(patch: Patch, points: np.ndarray, h: float) -> np.ndarray:
+def _lambda_sq_terms(patch: Patch, points: np.ndarray) -> np.ndarray:
     """Rows (lambda^2, volume density, Pfaffian of the pulled-back omega)
     over the points (N, 4), computed CHUNK points at a time."""
     parts = []
     for start in range(0, len(points), CHUNK):
-        geo = _point_geometry(patch, points[start:start + CHUNK], h)
+        geo = _point_geometry(patch, points[start:start + CHUNK], patch.fd_step)
         tt = np.swapaxes(geo.tangents, -1, -2)
         dvol = np.sqrt(np.maximum(np.linalg.det(geo.tangents @ geo.g @ tt), 0.0))
         parts.append([geo.lam ** 2, dvol, pfaffian4(geo.tangents @ geo.omega @ tt)])
     return np.concatenate(parts, axis=1)
 
 
-def l2_lambda_invariant(patch: Patch, h: float | None = None) -> dict:
+def l2_lambda_invariant(patch: Patch) -> dict:
     """Quadrature of lambda^2 dvol against (1/2) the squared Kaehler form.
 
     The patch must be closed (all axes periodic); the two integrands are
@@ -881,10 +884,9 @@ def l2_lambda_invariant(patch: Patch, h: float | None = None) -> dict:
     """
     if not all(patch.periodic):
         raise ValueError("the quadrature identity needs a closed (periodic) patch")
-    h = _step(patch, h)
     pts = patch.grid_points()
     cell = patch.cell_volume()
-    lam_sq, dvol, pf = _lambda_sq_terms(patch, pts, h)
+    lam_sq, dvol, pf = _lambda_sq_terms(patch, pts)
     lhs = float(np.sum(lam_sq * dvol)) * cell
     rhs = float(np.sum(pf)) * cell
     return {
@@ -895,18 +897,16 @@ def l2_lambda_invariant(patch: Patch, h: float | None = None) -> dict:
     }
 
 
-def lambda_square_field(patch: Patch, points: np.ndarray | None = None,
-                        h: float | None = None) -> dict:
+def lambda_square_field(patch: Patch, points: np.ndarray | None = None) -> dict:
     """Pointwise lambda^2 by two routes over the grid.
 
     Route one extracts the angle cosines of the tangent plane; route two
     divides the restricted squared Kaehler form by twice the volume
     density.  For pointwise Cayley patches both give lambda^2 in [0, 1].
     """
-    h = _step(patch, h)
     if points is None:
         points = patch.grid_points(interior=False)
-    from_angles, dvol, pf = _lambda_sq_terms(patch, np.reshape(points, (-1, 4)), h)
+    from_angles, dvol, pf = _lambda_sq_terms(patch, np.reshape(points, (-1, 4)))
     from_pfaffian = pf / dvol
     return {
         "from_angles": from_angles,

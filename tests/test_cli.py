@@ -103,6 +103,21 @@ def test_verify_patch_runs_gamma_check_on_fs_lagrangian_torus(tmp_path):
     assert 0.0 < check["max_gap"] < 1e-4
 
 
+def test_gamma_check_error_is_a_failure(tmp_path, monkeypatch):
+    import cayley4.patches as patches_mod
+
+    def breakdown(*args, **kwargs):
+        raise ValueError("lambda dropped below the Cayley-frame regime")
+
+    monkeypatch.setattr(patches_mod, "gamma_form", breakdown)
+    rc, out = _run_json(["verify-patch", "--name", "lagrangian-graph"], tmp_path)
+    assert rc == CHECK_FAILURE
+    check = next(c for c in out["checks"] if c["name"] == "gamma_variants_agree")
+    assert check["passed"] is False
+    assert check["error"] == "lambda dropped below the Cayley-frame regime"
+    assert "gamma_variants_agree" in out["failed"]
+
+
 def test_verify_patch_tight_tolerance_fails(tmp_path):
     rc, out = _run_json(
         ["verify-patch", "--name", "product-torus", "--tol", "1e-16"], tmp_path)
@@ -167,6 +182,21 @@ def test_bad_frame_inputs(tmp_path, capsys):
 def _one_line_error(capsys):
     err = capsys.readouterr().err
     return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "10", "--phases", "0"],
+    ["analyze-plane", "--in", "PLANE", "--phases", "0"],
+    ["comass", "--samples", "0"],
+    ["comass", "--steps", "-1"],
+    ["verify-patch", "--name", "affine", "--tol", "nan"],
+    ["verify-patch", "--name", "affine", "--tol", "inf"],
+    ["verify-patch", "--name", "affine", "--tol", "0"],
+])
+def test_bad_numeric_arguments_exit_2(argv, plane_file, capsys):
+    argv = [plane_file if a == "PLANE" else a for a in argv]
+    assert main(argv) == USAGE_ERROR
+    assert _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("spec", [

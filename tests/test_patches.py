@@ -1,6 +1,7 @@
 """Curved-patch analysis: frames, curvature identities, and the theorems."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,9 +112,9 @@ def test_h_identity_one_holds_off_cayley():
     # identity 2 is not asserted there
     ps = builtin_patch("perturbed-real-slice")
     t = np.array([0.1, -0.15, 0.2, 0.08])
-    r1 = verify_h_symmetry(ps, t, h=1e-2, n_triples=6)
-    r2 = verify_h_symmetry(ps, t, h=5e-3, n_triples=6)
-    r3 = verify_h_symmetry(ps, t, h=2.5e-3, n_triples=6)
+    r1 = verify_h_symmetry(replace(ps, fd_step=1e-2), t, n_triples=6)
+    r2 = verify_h_symmetry(replace(ps, fd_step=5e-3), t, n_triples=6)
+    r3 = verify_h_symmetry(replace(ps, fd_step=2.5e-3), t, n_triples=6)
     assert r1["identity2_max"] is None
     assert r1["identity1_max"] < 2e-3
     assert r2["identity1_max"] < 0.30 * r1["identity1_max"]
@@ -148,10 +149,26 @@ def test_gamma_variants_agree_on_curved_graph():
 def test_gamma_b_gauge_independent():
     pt = builtin_patch("product-torus", params={"radii": MIXED_RADII})
     t = np.array([0.3, 1.1, -0.4, 2.0])
-    base = gamma_form(pt, t, frame_field=UnitaryFrameField(pt, gauge=0.0))
-    rot = gamma_form(pt, t, frame_field=UnitaryFrameField(pt, gauge=0.6))
+    base = gamma_form(pt, t, gauge=0.0)
+    rot = gamma_form(pt, t, gauge=0.6)
     gap = np.abs(np.array(base["gamma_b"]) - np.array(rot["gamma_b"])).max()
     assert gap < 1e-6
+
+
+@pytest.mark.parametrize("name, params", [("lagrangian-graph", {}),
+                                          ("affine", {"theta1": 0.7, "theta2": 0.7})])
+def test_gamma_form_stack_matches_single_points(name, params):
+    # both frame branches: Lagrangian Gram-Schmidt, j = B / lambda
+    p = builtin_patch(name, params)
+    probes = p.probe_points(per_axis=2, shrink=0.5)[:4]
+    stack = gamma_form(p, probes)
+    assert stack["gamma_a"].shape == stack["gamma_b"].shape == (4, 4)
+    assert stack["lambda"].shape == (4,)
+    singles = [gamma_form(p, t) for t in probes]
+    for key in ("gamma_a", "gamma_b", "lambda"):
+        np.testing.assert_array_equal(stack[key], [one[key] for one in singles])
+    assert stack["max_abs_diff"] == max(one["max_abs_diff"] for one in singles)
+    assert isinstance(singles[0]["lambda"], float)
 
 
 # ----------------------------------------------------------------- theorems
@@ -308,9 +325,7 @@ def test_periodic_axis_allows_a_single_point():
 def test_explicit_nonpositive_step_is_rejected(h):
     lg = builtin_patch("lagrangian-graph")
     with pytest.raises(ValueError):
-        point_report(lg, T0, h=h)
-    with pytest.raises(ValueError):
-        UnitaryFrameField(lg, h=h)
+        replace(lg, fd_step=h)
 
 
 # ------------------------------------------- theorem III order bookkeeping
