@@ -96,6 +96,8 @@ def cmd_analyze_plane(args) -> int:
 def cmd_scan(args) -> int:
     if args.n < 1:
         raise InputError("scan needs n >= 1")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be finite and > 0, got {args.tol}")
     alphas = _phase_grid(args.phases)
     rng = np.random.default_rng(args.seed)
     frames = hermitian.haar_frames(rng, args.n)
@@ -135,6 +137,8 @@ def cmd_comass(args) -> int:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
     if args.steps < 0:
         raise InputError(f"--steps must be >= 0, got {args.steps}")
+    if not math.isfinite(args.alpha):
+        raise InputError(f"--alpha must be finite, got {args.alpha}")
     form = hermitian.cayley_calibration(args.alpha).form
     detail = hermitian.comass_detail(form, n_samples=args.samples,
                                      refine_steps=args.steps, seed=args.seed)

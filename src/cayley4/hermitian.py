@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -27,8 +28,10 @@ from .multilinear import (
     DIM,
     Blade4,
     KForm,
+    _sort_sign,
     evaluate,
     evaluate_frames,
+    index_tuples,
     interior_product,
     pfaffian4,
     restrict_matrix,
@@ -179,94 +182,87 @@ def wirtinger_values(frames: np.ndarray) -> np.ndarray:
 
 
 def phi_values(frames: np.ndarray, alphas: np.ndarray | float) -> np.ndarray:
-    """Phi_alpha on frames; result shape = broadcast(alphas, frames[:-2])."""
-    w = omega0_values(frames)
+    """Phi_alpha on frames; result shape = alphas.shape + frames.shape[:-2]."""
     p = wirtinger_values(frames)
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim == 0:
-        return (np.exp(1j * alphas) * w).real + p
-    # phases along the leading axis
-    return (np.exp(1j * alphas)[:, None] * w[None, ...]).real + p[None, ...]
+    phases = np.exp(1j * np.asarray(alphas, dtype=float))
+    return np.multiply.outer(phases, omega0_values(frames)).real + p
 
 
 # ---------------------------------------------------------------------------
 # Comass estimation: Haar sampling plus projected gradient ascent on the
-# oriented Grassmannian (Stiefel retraction by thin QR).  The estimate is a
-# lower bound by construction.
+# Stiefel manifold of orthonormal 4-frames (retraction by thin QR), all
+# starts ascending in lockstep.  The estimate is a lower bound by
+# construction.
 # ---------------------------------------------------------------------------
 
-def haar_frames(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-random orthonormal 4-frames in R^8, shape (n, 4, 8)."""
-    g = rng.standard_normal((n, DIM, 4))
-    q, r = np.linalg.qr(g)
+def _qr_rows(cols: np.ndarray) -> np.ndarray:
+    """Rows (n, 4, 8) of Q in the thin QR of columns (n, 8, 4), R's diagonal > 0."""
+    q, r = np.linalg.qr(cols)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     return np.swapaxes(q, -1, -2)
 
 
-def _blade_gradient(form: KForm, frame: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of X -> form(x1^x2^x3^x4) w.r.t. the rows of X."""
-    grad = np.empty_like(frame)
-    for a in range(4):
-        others = [frame[b] for b in range(4) if b != a]
-        partial = form
-        for w in others:
-            partial = interior_product(partial, w)
-        sign = -1.0 if (3 - a) % 2 else 1.0
-        grad[a] = sign * partial.coeffs
-    return grad
+def haar_frames(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-random orthonormal 4-frames in R^8, shape (n, 4, 8)."""
+    return _qr_rows(rng.standard_normal((n, DIM, 4)))
 
 
-def _qr_retract(xc: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(xc)
-    return q * np.sign(np.diag(r))
+def _dense_tensor(form: KForm) -> np.ndarray:
+    """T[i, j, k, l] = form(e_i, e_j, e_k, e_l) as an (8, 512) matrix."""
+    e = np.eye(DIM)
+    t = np.zeros((DIM,) * 4)
+    for i, j, k in index_tuples(3):
+        row = interior_product(interior_product(interior_product(form, e[i]), e[j]), e[k])
+        for perm in permutations((i, j, k)):
+            t[perm] = _sort_sign(perm) * row.coeffs
+    return t.reshape(DIM, -1)
 
 
-def _ascend(form: KForm, frame: np.ndarray, steps: int) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent from one frame; returns (value, frame)."""
-    xc = frame.T.copy()                       # (8, 4), columns orthonormal
-    f = float(evaluate_frames(form, xc.T))
-    tau = 0.25
-    for _ in range(steps):
-        g = _blade_gradient(form, xc.T).T
-        sym = 0.5 * (xc.T @ g + g.T @ xc)
-        rg = g - xc @ sym                     # tangent projection on the Stiefel
-        gnorm = float(np.linalg.norm(rg))
-        if gnorm < 1e-13:
-            break
-        accepted = False
-        for _ in range(40):
-            ynew = _qr_retract(xc + tau * rg)
-            fnew = float(evaluate_frames(form, ynew.T))
-            if fnew > f:
-                xc, f = ynew, fnew
-                tau = min(tau * 1.4, 1.0)
-                accepted = True
-                break
-            tau *= 0.5
-        if not accepted:
-            break                             # no ascent direction left at float precision
-    return f, xc.T
+def _values_and_gradients(t: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """form(x1 ^ .. ^ x4) (n,) and its gradients in the rows (n, 4, 8) from
+    t = _dense_tensor(form); row a's is (-1)^a form(., other rows)."""
+    o = frames[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]   # (n, 4, 3, 8)
+    outer = o[..., 0, :, None, None] * o[..., 1, None, :, None] * o[..., 2, None, None, :]
+    grads = np.array([[1.0], [-1.0], [1.0], [-1.0]]) * (outer.reshape(len(frames), 4, -1) @ t.T)
+    return np.sum(grads[:, 0] * frames[:, 0], axis=-1), grads
 
 
 def comass_detail(form: KForm, n_samples: int = 100, refine_steps: int = 400,
                   seed: int = 0) -> dict:
-    """Per-sample ascent results backing the comass estimate."""
+    """Per-sample ascent results backing the comass estimate.  Each start
+    keeps its own step size and stops after 40 halvings without ascent; the
+    starts still ascending step together, as one batch."""
     rng = np.random.default_rng(seed)
     starts = haar_frames(rng, n_samples)
     start_vals = evaluate_frames(form, starts)
-    finals = np.empty(n_samples)
-    best_val = -np.inf
-    best_frame = starts[0]
-    for i in range(n_samples):
-        val, fr = _ascend(form, starts[i], refine_steps)
-        finals[i] = val
-        if val > best_val:
-            best_val, best_frame = val, fr
+    t = _dense_tensor(form)
+    x, f, grad = starts.copy(), start_vals.copy(), _values_and_gradients(t, starts)[1]
+    tau = np.full(n_samples, 0.25)
+    live = np.arange(n_samples)
+    for _ in range(refine_steps):
+        xs, g = x[live], grad[live]
+        sym = 0.5 * (xs @ np.swapaxes(g, -1, -2) + g @ np.swapaxes(xs, -1, -2))
+        rg = g - sym @ xs                          # tangent projection on the Stiefel
+        moving = np.linalg.norm(rg, axis=(-2, -1)) >= 1e-13
+        live, k, xs, rg = live[moving], live[moving], xs[moving], rg[moving]
+        for _ in range(40):
+            if not k.size:
+                break
+            y = _qr_rows(np.swapaxes(xs + tau[k, None, None] * rg, -1, -2))
+            fy, gy = _values_and_gradients(t, y)
+            up = fy > f[k]
+            x[k[up]], f[k[up]], grad[k[up]] = y[up], fy[up], gy[up]
+            tau[k] = np.where(up, np.minimum(tau[k] * 1.4, 1.0), 0.5 * tau[k])
+            k, xs, rg = k[~up], xs[~up], rg[~up]
+        live = np.setdiff1d(live, k)               # k: no ascent left at float precision
+        if not live.size:
+            break
+    best = int(np.argmax(f))
     return {
-        "value": float(best_val),
-        "best_frame": best_frame,
+        "value": float(f[best]),
+        "best_frame": x[best],
         "start_values": start_vals,
-        "final_values": finals,
+        "final_values": f,
     }
 
 
@@ -274,9 +270,7 @@ def comass(form: KForm, n_samples: int = 100, refine_steps: int = 400,
            seed: int = 0) -> float:
     """Estimated comass: max of form over sampled and refined oriented planes.
 
-    Deterministic for a fixed seed; each sample is refined independently, so
-    the computation is embarrassingly parallel in principle (this
-    implementation runs the samples sequentially).
+    Deterministic for a fixed seed; all samples ascend in lockstep.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")

@@ -290,14 +290,12 @@ def matrix_to_form(m: np.ndarray) -> KForm:
 
 def restrict_2form(form: KForm, plane: OrientedPlane4) -> np.ndarray:
     """Restrict a 2-form to a plane: entry (i, j) = form(frame_i, frame_j)."""
-    m = form_to_matrix(form)
-    f = plane.frame
-    return f @ m @ f.T
+    return restrict_matrix(form_to_matrix(form), plane.frame)
 
 
 def restrict_matrix(m: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Batched restriction of a dense 2-form matrix to frames (..., 4, 8)."""
-    return np.einsum("...ai,ij,...bj->...ab", frames, m, frames)
+    return frames @ m @ np.swapaxes(frames, -1, -2)
 
 
 def hodge_star_plane(a: np.ndarray) -> np.ndarray:

@@ -23,9 +23,9 @@ take a single point.  A patch map takes parameter points (..., 4) to
 chart points (..., 8) (Patch.evaluate rejects any other output shape); a
 derivative stencil calls it once on all of its points, and grid-wide
 checks run CHUNK points per batch to bound memory.  gamma_form computes
-the geometry of its points once; the frame transport moves all of its
-targets in lockstep, one geometry batch per axis leg; Theorem III
-evaluates all probes of a step-halving level in one pass.
+the geometry of its points once, a batch at a time; the frame transport
+moves all of its targets in lockstep, one geometry batch per axis leg;
+Theorem III evaluates all probes of a step-halving level in one pass.
 
 All finite differencing is central (the `_fd` stencils) with the patch's
 fd_step, its only step: dataclasses.replace(patch, fd_step=h) gives the
@@ -485,23 +485,30 @@ def gamma_form(patch: Patch, t: np.ndarray, gauge: float = 0.0) -> dict:
     unitary frame of a UnitaryFrameField with the given gauge.  Totally
     real Cayley points only.  gamma_a and gamma_b have the shape of t,
     lambda its leading axes (a float for one point); max_abs_diff is the
-    largest gap over all points.
+    largest gap over all points.  Each point moves 9 transport targets
+    (its frame stencil), so points run CHUNK // 9 at a time.
     """
     t = np.asarray(t, dtype=float)
     pts = t.reshape(-1, 4)
-    geo = _point_geometry(patch, pts, patch.fd_step, second=True)
-    h_frame, _, _, gamma_chr = _second_fundamental(patch, geo)
-    gamma_a = _gamma_a(geo, _mean(h_frame))
-    if np.isnan(gamma_a).any():
-        raise ValueError("gamma needs lambda bounded away from 1")
-    u0, du = _fd.jet(UnitaryFrameField(patch, gauge).unitary_frame, pts, patch.fd_step)
-    ju = u0 @ standard_structure().j.T
-    # nabla_{d_a} u_k = d_a u_k + Gamma(d_a F, u_k)
-    nab = du + np.einsum("nxbc,nab,nkc->nakx", gamma_chr, geo.tangents, u0)
-    # the frame trace computes the phase derivative of the complex volume
-    # form along the patch; gamma is its negative
-    gamma_b = -np.einsum("nakx,nxy,nky->na", nab, geo.g, ju)
-    lam = geo.lam.reshape(t.shape[:-1])
+    gamma_a, gamma_b, lam = np.empty_like(pts), np.empty_like(pts), np.empty(len(pts))
+    field = None
+    for start in range(0, len(pts), CHUNK // 9):
+        part = slice(start, start + CHUNK // 9)
+        geo = _point_geometry(patch, pts[part], patch.fd_step, second=True)
+        h_frame, _, _, gamma_chr = _second_fundamental(patch, geo)
+        gamma_a[part] = _gamma_a(geo, _mean(h_frame))
+        if np.isnan(gamma_a[part]).any():
+            raise ValueError("gamma needs lambda bounded away from 1")
+        field = field or UnitaryFrameField(patch, gauge)
+        u0, du = _fd.jet(field.unitary_frame, pts[part], patch.fd_step)
+        ju = u0 @ standard_structure().j.T
+        # nabla_{d_a} u_k = d_a u_k + Gamma(d_a F, u_k)
+        nab = du + np.einsum("nxbc,nab,nkc->nakx", gamma_chr, geo.tangents, u0)
+        # the frame trace computes the phase derivative of the complex volume
+        # form along the patch; gamma is its negative
+        gamma_b[part] = -np.einsum("nakx,nxy,nky->na", nab, geo.g, ju)
+        lam[part] = geo.lam
+    lam = lam.reshape(t.shape[:-1])
     return {
         "gamma_a": gamma_a.reshape(t.shape),
         "gamma_b": gamma_b.reshape(t.shape),

@@ -20,8 +20,12 @@ therefore lands in the fundamental domain
 
     theta1 + theta2 <= pi,
 
-equivalently cos(theta1) = sigma1 is the largest singular value of A and
-cos(theta2) = sign(Pf A) * sigma2.  The round-trip tests pin this down.
+equivalently cos(theta1) = (|u + v| + |u - v|) / 2 and cos(theta2) =
+(|u + v| - |u - v|) / 2, where u + v and u - v, for u = (A01, A02, A03)
+and v = (A23, A31, A12), are the self-dual and anti-self-dual parts of
+A: their norms are rotation invariant, and on the normal form they are
+cos(theta1) + cos(theta2) and cos(theta1) - cos(theta2), both >= 0.
+The round-trip tests pin this down.
 
 A plane is Cayley when theta1 = theta2; the common cosine is written
 lambda.  Equivalent characterizations (restriction of omega self-dual;
@@ -43,12 +47,12 @@ from .multilinear import (
     DIM,
     OrientedPlane4,
     hodge_star_plane,
-    pfaffian4,
     restrict_matrix,
 )
 from .hermitian import (
     complexify,
     omega0_values,
+    phi_values,
     realify,
     standard_structure,
 )
@@ -432,9 +436,7 @@ def calibration_value(plane: OrientedPlane4, alpha: float) -> float:
     For totally real planes this equals
     cos(alpha - alpha_xi) sin(theta1) sin(theta2) + cos(theta1) cos(theta2).
     """
-    w = omega0_values(plane.frame[None])[0]
-    a = _omega_restriction(plane)
-    return float((np.exp(1j * alpha) * w).real + pfaffian4(a))
+    return float(phi_values(plane.frame[None], alpha)[0])
 
 
 def random_unitary_basis(rng: np.random.Generator) -> np.ndarray:
@@ -449,14 +451,13 @@ def random_unitary_basis(rng: np.random.Generator) -> np.ndarray:
 def batch_kahler_cosines(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (cos(theta1), cos(theta2)) for frames of shape (n, 4, 8).
 
-    Uses the singular values of the restricted Kaehler form with the
-    Pfaffian fixing the sign of the second cosine; the paired singular
-    values are averaged for robustness.
+    Self-dual split of the restricted Kaehler form (module docstring); the
+    anti-self-dual norm |u - v| is the Cayley defect cos(theta1) -
+    cos(theta2) itself, so a tiny angle gap is resolved to full precision.
     """
     a = restrict_matrix(standard_structure().omega_mat, frames)
-    s = np.linalg.svd(a, compute_uv=False)         # descending, (n, 4)
-    c1 = 0.5 * (s[..., 0] + s[..., 1])
-    sig2 = 0.5 * (s[..., 2] + s[..., 3])
-    pf = pfaffian4(a)
-    c2 = np.where(pf >= 0, sig2, -sig2)
-    return c1, c2
+    u = a[..., 0, 1:]                              # (A01, A02, A03)
+    v = a[..., [2, 3, 1], [3, 1, 2]]               # (A23, A31, A12)
+    sd = np.linalg.norm(u + v, axis=-1)
+    asd = np.linalg.norm(u - v, axis=-1)
+    return 0.5 * (sd + asd), 0.5 * (sd - asd)

@@ -186,9 +186,16 @@ def _one_line_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["scan", "--n", "10", "--phases", "0"],
+    ["scan", "--n", "10", "--tol", "nan"],
+    ["scan", "--n", "10", "--tol", "inf"],
+    ["scan", "--n", "10", "--tol", "0"],
+    ["scan", "--n", "10", "--tol=-1e-8"],
     ["analyze-plane", "--in", "PLANE", "--phases", "0"],
     ["comass", "--samples", "0"],
     ["comass", "--steps", "-1"],
+    ["comass", "--alpha", "nan", "--samples", "2", "--steps", "2"],
+    ["comass", "--alpha", "inf", "--samples", "2", "--steps", "2"],
+    ["comass", "--alpha=-inf", "--samples", "2", "--steps", "2"],
     ["verify-patch", "--name", "affine", "--tol", "nan"],
     ["verify-patch", "--name", "affine", "--tol", "inf"],
     ["verify-patch", "--name", "affine", "--tol", "0"],

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cayley4.hermitian import (
+    _dense_tensor,
+    _values_and_gradients,
     cayley_calibration,
     comass,
     comass_detail,
@@ -14,7 +16,7 @@ from cayley4.hermitian import (
     standard_structure,
     wirtinger_values,
 )
-from cayley4.multilinear import Blade4, KForm, OrientedPlane4, evaluate, wedge
+from cayley4.multilinear import Blade4, KForm, OrientedPlane4, evaluate, evaluate_frames, wedge
 
 
 def test_complex_structure_squares_to_minus_one():
@@ -121,6 +123,51 @@ def test_comass_refinement_success_rate():
 
 def test_comass_zero_form():
     assert comass(KForm(4, np.zeros(70)), n_samples=5, refine_steps=10) == 0.0
+
+
+def _generic_form(seed):
+    return KForm(4, np.random.default_rng(seed).standard_normal(70))
+
+
+def test_dense_tensor_values_match_minors():
+    form = _generic_form(3)
+    frames = haar_frames(np.random.default_rng(4), 200)
+    values, _ = _values_and_gradients(_dense_tensor(form), frames)
+    assert np.max(np.abs(values - evaluate_frames(form, frames))) <= 1e-13
+
+
+def test_dense_tensor_gradients_match_central_differences():
+    form = _generic_form(6)
+    t = _dense_tensor(form)
+    h = 1e-3
+    for frame in haar_frames(np.random.default_rng(7), 3):
+        _, grads = _values_and_gradients(t, frame[None])
+        fd = np.empty((4, 8))
+        for a in range(4):
+            for i in range(8):
+                step = np.zeros((4, 8))
+                step[a, i] = h
+                fd[a, i] = (evaluate_frames(form, frame + step)
+                            - evaluate_frames(form, frame - step)) / (2 * h)
+        # the form is linear in each entry, so only rounding separates them
+        assert np.max(np.abs(grads[0] - fd)) <= 1e-9
+
+
+def test_comass_detail_on_a_generic_form():
+    form = _generic_form(8)
+    detail = comass_detail(form, n_samples=12, refine_steps=150, seed=3)
+    assert np.all(detail["final_values"] >= detail["start_values"])
+    assert detail["value"] == np.max(detail["final_values"])
+    assert detail["value"] > np.max(detail["start_values"])
+    again = comass_detail(form, n_samples=12, refine_steps=150, seed=3)
+    for key in ("final_values", "best_frame"):
+        np.testing.assert_array_equal(again[key], detail[key])
+    assert again["value"] == detail["value"]
+    still = comass_detail(form, n_samples=12, refine_steps=0, seed=3)
+    np.testing.assert_array_equal(still["final_values"], still["start_values"])
+    starts = haar_frames(np.random.default_rng(3), 12)
+    np.testing.assert_array_equal(still["best_frame"],
+                                  starts[np.argmax(still["start_values"])])
 
 
 def test_calibrated_plane_is_cayley_with_matching_phase():

@@ -171,6 +171,36 @@ def test_gamma_form_stack_matches_single_points(name, params):
     assert isinstance(singles[0]["lambda"], float)
 
 
+def test_gamma_form_chunks_match_one_batch(monkeypatch):
+    import cayley4.patches as patches_module
+
+    lg = builtin_patch("lagrangian-graph")
+    pts = lg.probe_points()
+    assert len(pts) > CHUNK
+    chunked = gamma_form(lg, pts)
+    # all 81 points, and their 9 * 81 transport targets, in one batch
+    monkeypatch.setattr(patches_module, "CHUNK", 10 ** 6)
+    whole = gamma_form(lg, pts)
+    for key in ("gamma_a", "gamma_b", "lambda"):
+        assert np.array_equal(chunked[key], whole[key])
+    assert chunked["max_abs_diff"] == whole["max_abs_diff"]
+
+
+def test_gamma_form_memory_is_bounded_by_the_chunk():
+    import tracemalloc
+
+    lg = builtin_patch("lagrangian-graph")
+    pts = lg.probe_points()
+    tracemalloc.start()
+    try:
+        gamma_form(lg, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one batch of all 81 points peaked at 54 MiB
+    assert peak < 12 * 2 ** 20
+
+
 # ----------------------------------------------------------------- theorems
 
 

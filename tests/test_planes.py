@@ -219,6 +219,45 @@ def test_batch_cosines_match_per_plane():
             or c2[k] == pytest.approx(np.cos(rep.theta2), abs=1e-10)
 
 
+def _svd_cosines(frames):
+    """Reference cosines: paired singular values of the restricted Kaehler
+    form, the Pfaffian fixing the sign of the second."""
+    a = frames @ standard_structure().omega_mat @ np.swapaxes(frames, -1, -2)
+    s = np.linalg.svd(a, compute_uv=False)
+    pf = a[..., 0, 1] * a[..., 2, 3] - a[..., 0, 2] * a[..., 1, 3] + a[..., 0, 3] * a[..., 1, 2]
+    sig2 = 0.5 * (s[..., 2] + s[..., 3])
+    return 0.5 * (s[..., 0] + s[..., 1]), np.where(pf >= 0, sig2, -sig2)
+
+
+def test_split_cosines_match_svd_reference():
+    rng = np.random.default_rng(23)
+    u = random_unitary_basis(rng)
+    special = [build_plane(u, *angles).frame for angles in (
+        (0.0, 0.0),                       # complex
+        (np.pi / 2, np.pi / 2),           # Lagrangian
+        (0.0, 1.1),                       # partially complex
+        (0.4, 2.0),                       # second cosine negative
+        (np.pi / 3, 2 * np.pi / 3),       # anti-self-dual, theta1 + theta2 = pi
+    )] + [np.eye(8)[::2]]                 # the restricted form is exactly 0
+    frames = np.concatenate([haar_frames(rng, 10_000), np.array(special)])
+    c1, c2 = batch_kahler_cosines(frames)
+    r1, r2 = _svd_cosines(frames)
+    assert np.max(np.abs(c1 - r1)) <= 1e-12
+    assert np.max(np.abs(c2 - r2)) <= 1e-12
+    assert c1[-2] == pytest.approx(0.5, abs=1e-12)
+    assert c2[-2] == pytest.approx(-0.5, abs=1e-12)
+    assert c1[-1] == c2[-1] == 0.0
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.9, 1.3])
+def test_split_cosines_resolve_a_tiny_angle_gap(theta):
+    gap = 1e-12
+    u = random_unitary_basis(np.random.default_rng(5))
+    c1, c2 = batch_kahler_cosines(build_plane(u, theta, theta + gap).frame[None])
+    assert np.arccos(c2[0]) - np.arccos(c1[0]) == pytest.approx(gap, rel=0.01)
+    assert c1[0] - c2[0] == pytest.approx(np.sin(theta) * gap, rel=0.01)
+
+
 def test_lambda_continuity_near_complex():
     # lambda stays close to 1 for small angles instead of jumping
     for eps in (1e-3, 1e-5):
