@@ -190,8 +190,9 @@ def einstein_report(chart: KahlerChart, n_points: int = 100, seed: int = 0,
                     sample_radius: float | None = None) -> EinsteinReport:
     """Einstein constant at the origin and worst pointwise deviation.
 
-    The origin and the n_points samples go through one batched Ricci
-    evaluation.
+    The constant s is the least-squares fit of rho = s omega over all
+    entries at the origin, <rho, omega>_F / <omega, omega>_F.  The origin
+    and the n_points samples go through one batched Ricci evaluation.
     """
     rng = np.random.default_rng(seed)
     rad = sample_radius
@@ -203,7 +204,7 @@ def einstein_report(chart: KahlerChart, n_points: int = 100, seed: int = 0,
         pts[k] = p * (rad * rng.random() ** 0.125 / np.linalg.norm(p))
     rho = chart.ricci_form_at(pts)
     om = chart.omega_mat_at(pts)
-    s = float(rho[0, 0, 1] / om[0, 0, 1])
+    s = float(np.sum(rho[0] * om[0]) / np.sum(om[0] * om[0]))
     dev = (np.linalg.norm(rho[1:] - s * om[1:], axis=(-2, -1))
            / np.linalg.norm(om[1:], axis=(-2, -1)))
     worst = float(np.max(dev, initial=0.0))

@@ -2,8 +2,9 @@
 
 Subcommands: analyze-plane, scan, comass, verify-patch, invariant-suite.
 All randomness is seeded, so a fixed invocation produces byte-identical
-output except for the top-level "timestamp" field.  Exit codes: 0 all
-checks passed, 1 at least one check failed, 2 usage or input error.
+output except for the top-level "timestamp" field.  Reports are strict
+JSON, with no NaN or Infinity.  Exit codes: 0 all checks passed, 1 at
+least one check failed, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class InputError(Exception):
 def _emit(report: dict, out: str | None) -> None:
     report = dict(report)
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)

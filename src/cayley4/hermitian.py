@@ -170,9 +170,34 @@ def cayley_calibration(alpha: float = 0.0) -> CayleyCalibration:
 # the test suite before being relied on anywhere.
 # ---------------------------------------------------------------------------
 
+# Frames per block of the component-major kernels below: 4096 frames are
+# 1 MiB of doubles, so each block's vector operations stay in cache.
+_BLOCK = 4096
+
+
 def omega0_values(frames: np.ndarray) -> np.ndarray:
-    """Omega_0 evaluated on frames (..., 4, 8); complex result."""
-    return np.linalg.det(complexify(frames))
+    """Omega_0 evaluated on frames (..., 4, 8); complex result.
+
+    det_C(Z) of Z = complexify(frames) by Laplace expansion along Z's first
+    two rows: six products of 2x2 minors, accumulated one at a time on
+    component-major blocks of frames, with no per-matrix LAPACK call.
+    """
+    f = np.reshape(np.asarray(frames, dtype=float), (-1, 4, DIM))
+    out = np.empty(len(f), dtype=complex)
+    for s in range(0, len(f), _BLOCK):
+        z = np.moveaxis(complexify(f[s:s + _BLOCK]), 0, -1).copy()   # z[r, a] contiguous
+
+        def minor(r, a, b):                        # rows r, r + 1; columns a, b
+            return z[r, a] * z[r + 1, b] - z[r, b] * z[r + 1, a]
+
+        acc = minor(0, 0, 1) * minor(2, 2, 3)
+        acc -= minor(0, 0, 2) * minor(2, 1, 3)
+        acc += minor(0, 0, 3) * minor(2, 1, 2)
+        acc += minor(0, 1, 2) * minor(2, 0, 3)
+        acc -= minor(0, 1, 3) * minor(2, 0, 2)
+        acc += minor(0, 2, 3) * minor(2, 0, 1)
+        out[s:s + _BLOCK] = acc
+    return out.reshape(np.shape(frames)[:-2])[()]
 
 
 def wirtinger_values(frames: np.ndarray) -> np.ndarray:
@@ -182,10 +207,18 @@ def wirtinger_values(frames: np.ndarray) -> np.ndarray:
 
 
 def phi_values(frames: np.ndarray, alphas: np.ndarray | float) -> np.ndarray:
-    """Phi_alpha on frames; result shape = alphas.shape + frames.shape[:-2]."""
-    p = wirtinger_values(frames)
-    phases = np.exp(1j * np.asarray(alphas, dtype=float))
-    return np.multiply.outer(phases, omega0_values(frames)).real + p
+    """Phi_alpha on frames; result shape = alphas.shape + frames.shape[:-2].
+
+    Re(e^{i alpha} Omega_0) = cos(alpha) Re Omega_0 - sin(alpha) Im Omega_0 is
+    accumulated in place, so no complex (alphas x frames) array is formed.
+    """
+    p = wirtinger_values(frames)          # its (n, 4, 8) temporary is freed before phi exists
+    w = omega0_values(frames)
+    alphas = np.asarray(alphas, dtype=float)
+    phi = np.multiply.outer(np.cos(alphas), w.real)
+    phi -= np.multiply.outer(np.sin(alphas), w.imag)
+    phi += p
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +236,60 @@ def _qr_rows(cols: np.ndarray) -> np.ndarray:
 
 
 def haar_frames(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-random orthonormal 4-frames in R^8, shape (n, 4, 8)."""
-    return _qr_rows(rng.standard_normal((n, DIM, 4)))
+    """n Haar-random orthonormal 4-frames in R^8, shape (n, 4, 8).
+
+    Row a of frame k is column a of Q in the thin QR of the Gaussian
+    matrix rng.standard_normal((n, 8, 4))[k], with R's diagonal > 0, which
+    makes Q Haar-distributed (Mezzadri, Notices AMS 54, 2007).  Q comes
+    from classical Gram-Schmidt with one re-orthogonalisation pass ("twice
+    is enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005),
+    run in place on component-major (8, 4, block) copies, so that every
+    operation is on a contiguous vector over frames.  It agrees with
+    LAPACK's QR to rounding level.  The frames are a view of the (n, 8, 4)
+    array of columns, as with _qr_rows; restrict_matrix is faster on that
+    layout than on contiguous rows.
+    """
+    g = rng.standard_normal((n, DIM, 4))
+    cols = np.empty((n, DIM, 4))
+    for s in range(0, n, _BLOCK):
+        w = np.transpose(g[s:s + _BLOCK], (1, 2, 0)).copy()   # w[i, a]: entry i of column a
+        for a in range(4):
+            v = w[:, a]
+            for _ in range(2 if a else 0):
+                r = [np.einsum("in,in->n", w[:, b], v) for b in range(a)]
+                for b in range(a):
+                    v -= r[b] * w[:, b]
+            v /= np.sqrt(np.einsum("in,in->n", v, v))
+        cols[s:s + _BLOCK] = np.transpose(w, (2, 0, 1))
+    return np.swapaxes(cols, -1, -2)
 
 
 def _dense_tensor(form: KForm) -> np.ndarray:
-    """T[i, j, k, l] = form(e_i, e_j, e_k, e_l) as an (8, 512) matrix."""
+    """T[i, j, k, l] = form(e_i, e_j, e_k, e_l) as a (64, 64) matrix T[ij, kl]."""
     e = np.eye(DIM)
     t = np.zeros((DIM,) * 4)
     for i, j, k in index_tuples(3):
         row = interior_product(interior_product(interior_product(form, e[i]), e[j]), e[k])
         for perm in permutations((i, j, k)):
             t[perm] = _sort_sign(perm) * row.coeffs
-    return t.reshape(DIM, -1)
+    return t.reshape(DIM * DIM, -1)
 
 
 def _values_and_gradients(t: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """form(x1 ^ .. ^ x4) (n,) and its gradients in the rows (n, 4, 8) from
-    t = _dense_tensor(form); row a's is (-1)^a form(., other rows)."""
-    o = frames[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]   # (n, 4, 3, 8)
-    outer = o[..., 0, :, None, None] * o[..., 1, None, :, None] * o[..., 2, None, None, :]
-    grads = np.array([[1.0], [-1.0], [1.0], [-1.0]]) * (outer.reshape(len(frames), 4, -1) @ t.T)
-    return np.sum(grads[:, 0] * frames[:, 0], axis=-1), grads
+    """form(x0 ^ .. ^ x3) (n,) and its gradients in the rows (n, 4, 8) from
+    t = _dense_tensor(form).  Row a's gradient is the form with slot a left
+    free; two stages, S01 = (x0 (x) x1) T and S23 = T (x2 (x) x3), give all
+    four by batched mat-vecs."""
+    n = len(frames)
+    x0, x1, x2, x3 = (frames[:, a] for a in range(4))
+    s01 = ((x0[:, :, None] * x1[:, None, :]).reshape(n, -1) @ t).reshape(n, DIM, DIM)
+    s23 = ((x2[:, :, None] * x3[:, None, :]).reshape(n, -1) @ t.T).reshape(n, DIM, DIM)
+    grads = np.empty_like(frames)
+    grads[:, 0] = (s23 @ x1[:, :, None])[..., 0]
+    grads[:, 1] = (x0[:, None, :] @ s23)[:, 0]
+    grads[:, 2] = (s01 @ x3[:, :, None])[..., 0]
+    grads[:, 3] = (x2[:, None, :] @ s01)[:, 0]
+    return np.einsum("ni,ni->n", grads[:, 0], x0), grads
 
 
 def comass_detail(form: KForm, n_samples: int = 100, refine_steps: int = 400,

@@ -34,7 +34,8 @@ behaviour, and the convergence reports implement exactly that check.
 Residuals that sit at the rounding floor on every level (this happens for
 product tori, whose truncation error is closed by symmetry) are reported
 as converged rather than fitted for an order; a level pair with no usable
-order (finer residual at the floor, or coarser one exactly 0) gets inf.
+order (finer residual at the floor, or coarser one exactly 0) gets inf,
+written as null in JSON reports.
 """
 
 from __future__ import annotations
@@ -675,7 +676,7 @@ class ConvergenceReport:
     def to_json(self) -> dict:
         return {
             "residuals": list(self.residuals),
-            "orders": list(self.orders),
+            "orders": [o if math.isfinite(o) else None for o in self.orders],
             "converged_at_floor": self.converged_at_floor,
             "final_residual": self.final_residual,
             "n_probes": self.n_probes,

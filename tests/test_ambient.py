@@ -149,6 +149,25 @@ def test_fs_einstein_scale_dependence():
     assert rep.scalar == pytest.approx(2.5, abs=1e-4)
 
 
+def test_einstein_constant_is_a_least_squares_fit():
+    # CP^1 x C^3: rho = 2 omega on the first factor and 0 on the rest, so the
+    # fit over all entries is 2 / 4, not the first factor's ratio 2
+    def hermitian(p):
+        h = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
+        h[..., 0, 0] = 1.0 / (1.0 + p[..., 0] ** 2 + p[..., 1] ** 2) ** 2
+        for k in range(1, 4):
+            h[..., k, k] = 1.0
+        return h
+
+    def potential(p):
+        return np.log1p(p[..., 0] ** 2 + p[..., 1] ** 2) + np.sum(p[..., 2:] ** 2, axis=-1)
+
+    chart = KahlerChart(name="cp1-x-c3", potential=potential, hermitian=hermitian, radius=2.0)
+    rep = einstein_report(chart, n_points=5, seed=0)
+    assert rep.scalar == pytest.approx(0.5, abs=1e-5)
+    assert rep.max_deviation > 0.1
+
+
 def test_flat_chart_is_ricci_flat_not_einstein_normalized():
     rep = einstein_report(flat_chart(), n_points=20, seed=0)
     assert rep.scalar == pytest.approx(0.0, abs=1e-12)

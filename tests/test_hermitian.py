@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,48 @@ def test_haar_frames_orthonormal():
     frames = haar_frames(rng, 100)
     gram = np.einsum("nik,njk->nij", frames, frames)
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+
+
+def _lapack_haar_frames(rng, n):
+    """Reference: LAPACK's QR of the same Gaussian draw, R's diagonal made > 0."""
+    q, r = np.linalg.qr(rng.standard_normal((n, 8, 4)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    return np.swapaxes(q, -1, -2)
+
+
+@pytest.mark.parametrize("n", [1, 100_000])
+def test_haar_frames_match_lapack_qr(n):
+    frames = haar_frames(np.random.default_rng(31), n)
+    assert frames.shape == (n, 4, 8)
+    assert np.max(np.abs(frames - _lapack_haar_frames(np.random.default_rng(31), n))) <= 1e-13
+    gram = frames @ np.swapaxes(frames, -1, -2)
+    assert np.max(np.abs(gram - np.eye(4))) <= 1e-14
+
+
+def test_haar_frames_memory_is_bounded():
+    # the Gaussian draw and the frames are 24.4 MiB each; blocks add 1 MiB
+    rng = np.random.default_rng(32)
+    tracemalloc.start()
+    try:
+        haar_frames(rng, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
+def test_omega0_values_match_determinant():
+    rng = np.random.default_rng(33)
+    stack = haar_frames(rng, 6).reshape(2, 3, 4, 8)
+    lagrangian = realify(np.eye(4, dtype=complex))
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    special = np.array([np.eye(8)[:4], lagrangian, realify(q.T)])   # complex, Lagrangian x2
+    for frames in (stack, special, haar_frames(rng, 10_000)):
+        values = omega0_values(frames)
+        assert values.shape == frames.shape[:-2]
+        ref = np.linalg.det(complexify(frames))
+        assert np.max(np.abs(values - ref)) <= 1e-14
+    assert np.abs(omega0_values(special)) == pytest.approx([0.0, 1.0, 1.0], abs=1e-15)
 
 
 def test_comass_of_wirtinger_square_is_one():

@@ -25,6 +25,7 @@ from cayley4 import (
     standard_structure,
     unitary_from_cayley,
 )
+from cayley4.hermitian import wirtinger_values
 from cayley4.multilinear import OrientedPlane4
 from cayley4.planes import random_unitary_basis
 
@@ -229,7 +230,8 @@ def _svd_cosines(frames):
     return 0.5 * (s[..., 0] + s[..., 1]), np.where(pf >= 0, sig2, -sig2)
 
 
-def test_split_cosines_match_svd_reference():
+def _haar_and_special_frames():
+    """10^4 Haar frames followed by six special planes."""
     rng = np.random.default_rng(23)
     u = random_unitary_basis(rng)
     special = [build_plane(u, *angles).frame for angles in (
@@ -239,7 +241,11 @@ def test_split_cosines_match_svd_reference():
         (0.4, 2.0),                       # second cosine negative
         (np.pi / 3, 2 * np.pi / 3),       # anti-self-dual, theta1 + theta2 = pi
     )] + [np.eye(8)[::2]]                 # the restricted form is exactly 0
-    frames = np.concatenate([haar_frames(rng, 10_000), np.array(special)])
+    return np.concatenate([haar_frames(rng, 10_000), np.array(special)])
+
+
+def test_split_cosines_match_svd_reference():
+    frames = _haar_and_special_frames()
     c1, c2 = batch_kahler_cosines(frames)
     r1, r2 = _svd_cosines(frames)
     assert np.max(np.abs(c1 - r1)) <= 1e-12
@@ -247,6 +253,13 @@ def test_split_cosines_match_svd_reference():
     assert c1[-2] == pytest.approx(0.5, abs=1e-12)
     assert c2[-2] == pytest.approx(-0.5, abs=1e-12)
     assert c1[-1] == c2[-1] == 0.0
+
+
+def test_wirtinger_value_is_the_product_of_the_cosines():
+    # Pf(omega|xi) = u . v = c1 c2, across the hermitian and planes layers
+    frames = _haar_and_special_frames()
+    c1, c2 = batch_kahler_cosines(frames)
+    assert np.max(np.abs(wirtinger_values(frames) - c1 * c2)) <= 1e-14
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.9, 1.3])
