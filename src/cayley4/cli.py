@@ -10,6 +10,7 @@ least one check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -276,6 +277,8 @@ def cmd_verify_patch(args) -> int:
         checks = _run_patch_checks(patch, tol)
     except ambient.ChartDomainError as exc:
         raise InputError(f"patch leaves its chart: {exc}")
+    except patches.RankError as exc:
+        raise InputError(f"patch map loses rank: {exc}")
     failed = [c["name"] for c in checks if not c["passed"]]
     report = {
         "patch": patch.name,
@@ -365,9 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

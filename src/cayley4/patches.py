@@ -24,8 +24,10 @@ chart points (..., 8) (Patch.evaluate rejects any other output shape); a
 derivative stencil calls it once on all of its points, and grid-wide
 checks run CHUNK points per batch to bound memory.  gamma_form computes
 the geometry of its points once, a batch at a time; the frame transport
-moves all of its targets in lockstep, one geometry batch per axis leg;
-Theorem III evaluates all probes of a step-halving level in one pass.
+moves all of its targets in lockstep, and each axis leg is one geometry
+batch over the distinct path prefixes of the targets; Theorem III
+evaluates all probes of a step-halving level in one pass, and the Ricci
+form at the probes once per run.
 
 All finite differencing is central (the `_fd` stencils) with the patch's
 fd_step, its only step: dataclasses.replace(patch, fd_step=h) gives the
@@ -172,14 +174,18 @@ def _second_derivatives(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
     return _fd.hessian(patch.evaluate, t, h)
 
 
-def _gram_schmidt(vectors: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Metric Gram-Schmidt of the rows of each (..., 4, 8) stack:
-    E = C @ vectors, C lower triangular.
+def _gram(vectors: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gram matrices (..., 4, 4) of the rows of each (..., 4, 8) stack in g."""
+    return vectors @ g @ np.swapaxes(vectors, -1, -2)
 
-    Gram-Schmidt in the metric g is the Cholesky factorization L L^T of the
+
+def _gram_schmidt(vectors: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metric Gram-Schmidt of the rows of each (..., 4, 8) stack, given
+    their Gram matrices: E = C @ vectors, C lower triangular.
+
+    Gram-Schmidt in the metric is the Cholesky factorization L L^T of the
     Gram matrix with C = L^-1; the diagonal of L holds the residual norms.
     """
-    gram = vectors @ g @ np.swapaxes(vectors, -1, -2)
     try:
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -230,10 +236,14 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
     p, tang, *sec = _fd.jet(patch.evaluate, t, h, second)
     hmat = patch.chart.hermitian_at(p)
     g = metric_from_hermitian(hmat)
-    sv = np.linalg.svd(tang @ g @ np.swapaxes(tang, -1, -2), compute_uv=False)
-    if np.any(np.sqrt(sv[..., -1]) < RANK_TOL):
+    gram = _gram(tang, g)
+    # the smallest singular value of dF is below RANK_TOL exactly when
+    # gram - RANK_TOL^2 I is not positive definite
+    try:
+        np.linalg.cholesky(gram - RANK_TOL * RANK_TOL * np.eye(4))
+    except np.linalg.LinAlgError:
         raise RankError("dF loses rank at this point")
-    frame, coeff = _gram_schmidt(tang, g)
+    frame, coeff = _gram_schmidt(tang, gram)
     # v -> L.T @ complexify(v) is an isometry of the chart metric onto the model
     l = np.linalg.cholesky(2.0 * hmat)
     model = realify(complexify(frame) @ l)
@@ -389,10 +399,11 @@ class UnitaryFrameField:
     plain metric Gram-Schmidt is used, which is a valid adapted frame when
     the restricted Kaehler form vanishes.  Paths are axis-ordered with
     FRAME_STEPS steps per axis, so the frame depends smoothly on the target
-    point.  All targets of a call move in lockstep: each axis leg of their
-    paths is one geometry batch (the last one also holds the targets), and
-    each step re-orthonormalizes the whole stack of frames.  Stencils use
-    the patch's fd_step.
+    point.  All targets of a call move in lockstep.  Leg a of a path
+    depends only on the target's coordinates 0..a, so each axis leg is one
+    geometry batch over the distinct prefixes of the targets (the last one
+    also holds the targets), and each step re-orthonormalizes one frame
+    per prefix.  Stencils use the patch's fd_step.
     """
 
     def __init__(self, patch: Patch, gauge: float = 0.0):
@@ -412,8 +423,8 @@ class UnitaryFrameField:
     def _orthonormalize(self, frame: np.ndarray, geo: _PointGeometry) -> np.ndarray:
         """Re-orthonormalize frames (..., 4, 8) at the points of geo."""
         if self.lagrangian_mode:
-            e, _ = _gram_schmidt(geo.tangential(frame), geo.g)
-            return e
+            v = geo.tangential(frame)
+            return _gram_schmidt(v, _gram(v, geo.g))[0]
         if np.any(geo.lam < 0.01):
             raise ValueError("lambda dropped below the Cayley-frame regime")
         j = standard_structure().j
@@ -440,23 +451,30 @@ class UnitaryFrameField:
         targets = t.reshape(-1, 4)
         delta = (targets - self.anchor) / FRAME_STEPS
         steps = np.arange(1, FRAME_STEPS + 1)[:, None]
-        frame = np.repeat(self._seed[None], len(targets), axis=0)
-        cur = np.broadcast_to(self.anchor, targets.shape)
+        ends = self.anchor + FRAME_STEPS * delta          # where each leg leaves its axis
+        # prefixes are compared bit for bit, which keeps 0.0 and -0.0 apart
+        bits = np.ascontiguousarray(targets).view(np.int64)
+        frame = self._seed[None]
+        group = np.zeros(len(targets), dtype=int)         # prefix of each target
         for a in range(4):
+            _, first, inverse = np.unique(bits[:, :a + 1], axis=0, return_index=True,
+                                          return_inverse=True)
+            frame = frame[group[first]]
+            group = inverse.reshape(-1)
             # leg[s - 1]: earlier axes at the end of their leg, axis a at step s
-            leg = np.empty((FRAME_STEPS,) + targets.shape)
-            leg[:] = cur
-            leg[:, :, a] = self.anchor[a] + steps * delta[:, a]
-            cur = leg[-1]
+            leg = np.empty((FRAME_STEPS, len(first), 4))
+            leg[:] = np.where(np.arange(4) < a, ends[first], self.anchor)
+            leg[:, :, a] = self.anchor[a] + steps * delta[first, a]
             if a == 3:
-                leg = np.concatenate([leg, targets[None]])
+                leg = np.concatenate([leg, targets[first][None]])
             geo = _point_geometry(self.patch, leg, self.patch.fd_step)
-            # a target that does not move along this axis keeps its frame
-            moved = (delta[:, a] != 0)[:, None, None]
+            # a path that does not move along this axis keeps its frame
+            moved = (delta[first, a] != 0)[:, None, None]
             for s in range(FRAME_STEPS):
                 frame = np.where(moved, self._orthonormalize(frame, geo[s]), frame)
         lead = t.shape[:-1]
-        return self._apply_gauge(frame.reshape(lead + (4, DIM))), geo.lam[-1].reshape(lead)
+        return (self._apply_gauge(frame[group].reshape(lead + (4, DIM))),
+                geo.lam[-1][group].reshape(lead))
 
     def cayley_frame(self, t: np.ndarray) -> np.ndarray:
         """Transported Cayley frames at parameter points (..., 4): (..., 4, 8)."""
@@ -630,16 +648,15 @@ def _gamma_a_at(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
 
 
 def _dgamma_residual(patch: Patch, t: np.ndarray, h: float,
-                     cayley_tol: float) -> np.ndarray:
-    """max_{i<j} |(d gamma - rho|_N)(d_i, d_j)| at each probe of t (P, 4);
-    NaN masks a probe."""
+                     cayley_tol: float, rho: np.ndarray) -> np.ndarray:
+    """max_{i<j} |(d gamma - rho|_N)(d_i, d_j)| at each probe of t (P, 4),
+    given the Ricci forms rho (P, 8, 8) there; NaN masks a probe."""
     geo = _point_geometry(patch, t, h)
     keep = ~((geo.cayley_dev > cayley_tol) | (geo.lam > 1.0 - LAMBDA_GUARD))
     out = np.full(len(t), np.nan)
     if not keep.any():
         return out
-    geo = geo[keep]
-    rho = patch.chart.ricci_form_at(geo.p)
+    geo, rho = geo[keep], rho[keep]
     # d[n, i, j] = gamma_j(t_n + h e_i) - gamma_j(t_n - h e_i)
     d = _fd.differences(lambda s: _gamma_a_at(patch, s.reshape(-1, 4), h).reshape(s.shape),
                         geo.t, h)
@@ -694,12 +711,14 @@ def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None, levels: i
     if probes is None:
         probes = patch.probe_points(per_axis=2, shrink=0.5)
     probes = np.asarray(probes, dtype=float)
+    # rho depends on the chart point only, not on the step of the level
+    rho = patch.chart.ricci_form_at(patch.evaluate(probes))
     residuals = []
     masked = 0
     for k in range(levels):
         h = patch.fd_step / (2 ** k)
         tol_here = cayley_tol if cayley_tol is not None else default_cayley_tol(h)
-        r = _dgamma_residual(patch, probes, h, tol_here)
+        r = _dgamma_residual(patch, probes, h, tol_here, rho)
         unmasked = ~np.isnan(r)
         if not unmasked.any():
             raise ValueError("every probe point was masked; nothing to verify")

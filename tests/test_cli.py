@@ -272,3 +272,35 @@ def test_patch_leaving_its_chart_exits_2(tmp_path, capsys):
                                 "grid": {"n": [5, 5, 5, 5]}}))
     assert main(["verify-patch", "--spec", str(path)]) == USAGE_ERROR
     assert _one_line_error(capsys)
+
+
+RANK_DEFICIENT_SPEC = {"name": "affine", "params": {"frame": [
+    [1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0]]}}
+
+
+def test_rank_deficient_patch_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(RANK_DEFICIENT_SPEC))
+    assert main(["verify-patch", "--spec", str(path)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: patch map loses rank")
+    assert err.count("\n") == 1
+
+
+def test_calls_in_one_process_share_the_parser_and_nothing_else(plane_file, tmp_path,
+                                                                capsys):
+    import cayley4.cli as cli_mod
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(RANK_DEFICIENT_SPEC))
+    first = tmp_path / "first.json"
+    assert main(["verify-patch", "--spec", str(spec), "--out", str(first)]) == USAGE_ERROR
+    capsys.readouterr()
+    # the second call writes to stdout: no option of the first call carries over
+    assert main(["analyze-plane", "--in", plane_file, "--phases", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["angle_report"]["theta1"] == pytest.approx(np.pi / 6, abs=1e-9)
+    assert len(out["phi_values"]) == 4
+    assert not first.exists()
+    assert cli_mod._parser() is cli_mod._parser()

@@ -81,6 +81,20 @@ def test_degenerate_map_raises():
         point_report(bad, T0)
 
 
+@pytest.mark.parametrize("s, full_rank", [(0.9e-6, False), (1.1e-6, True)])
+def test_rank_threshold_is_the_smallest_singular_value(s, full_rank):
+    # on the flat chart dF has singular values (1, 1, 1, s), against RANK_TOL = 1e-6
+    thin = Patch(name="thin", chart=builtin_patch("affine").chart,
+                 map_fn=lambda t: np.concatenate(
+                     [t[..., :3], s * t[..., 3:], np.zeros(t.shape[:-1] + (4,))], axis=-1),
+                 box=np.array([[-0.5, 0.5]] * 4))
+    if full_rank:
+        point_report(thin, T0)
+    else:
+        with pytest.raises(RankError):
+            point_report(thin, T0)
+
+
 def test_patch_from_spec_round_trip_and_validation():
     p = patch_from_spec({"name": "product-torus",
                          "params": {"radii": MIXED_RADII},
@@ -379,7 +393,7 @@ def test_theorem_iii_order_after_exact_zero_is_inf(monkeypatch):
     p = builtin_patch("affine", {"theta1": 0.9, "theta2": 0.9}, grid_n=(5, 5, 5, 5))
     by_level = {p.fd_step: 2.2e-11, p.fd_step / 2: 0.0, p.fd_step / 4: 1.4e-9}
     monkeypatch.setattr("cayley4.patches._dgamma_residual",
-                        lambda patch, t, h, tol: np.full(len(t), by_level[h]))
+                        lambda patch, t, h, tol, rho: np.full(len(t), by_level[h]))
     rep = verify_theorem_iii(p)
     assert rep.residuals == (2.2e-11, 0.0, 1.4e-9)
     assert rep.orders == (float("inf"), float("inf"))
@@ -425,6 +439,33 @@ def test_cayley_frame_stack_matches_single_targets(name, params):
     for k, t in enumerate(targets.reshape(-1, 4)):
         np.testing.assert_array_equal(stack.reshape(-1, 4, 8)[k], ff.cayley_frame(t))
     np.testing.assert_array_equal(stack[0, 0], ff._seed)
+
+
+@pytest.mark.parametrize("name, params", [("lagrangian-graph", {}),
+                                          ("affine", {"theta1": 0.6, "theta2": 0.6})])
+def test_transport_runs_each_leg_once_per_path_prefix(name, params, monkeypatch):
+    import cayley4.patches as patches_module
+
+    p = builtin_patch(name, params)
+    ff = UnitaryFrameField(p)
+    assert ff.lagrangian_mode == (name == "lagrangian-graph")
+    # the 9-point frame stencils of the CLI's four gamma probes: 36 targets
+    probes = p.probe_points(per_axis=2, shrink=0.5)[:4]
+    offsets = p.fd_step * np.eye(4)[:, None, :]
+    targets = np.concatenate([probes[None], probes + offsets, probes - offsets]).reshape(-1, 4)
+    rows = []
+
+    def counted(patch, t, h, second=False):
+        rows.append(int(np.prod(np.shape(t)[:-1])))
+        return geometry(patch, t, h, second)
+
+    geometry = patches_module._point_geometry
+    monkeypatch.setattr(patches_module, "_point_geometry", counted)
+    stack = ff.cayley_frame(targets)
+    # 3, 5, 14 and 36 distinct prefixes; the last leg also holds the targets
+    assert rows == [36, 60, 168, 468]
+    for k, t in enumerate(targets):
+        assert np.array_equal(stack[k], ff.cayley_frame(t))
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
