@@ -51,6 +51,8 @@ __all__ = [
 
 H_METRIC = 1e-4
 H_CURV = 1e-3
+FS_RADIUS = 2.0        # radius of the Fubini-Study chart ball
+SAMPLE_SHRINK = 0.75   # einstein_report samples within this share of the chart radius
 
 
 class ChartDomainError(ValueError):
@@ -152,8 +154,8 @@ def flat_chart() -> KahlerChart:
     return KahlerChart(name="flat", potential=potential, hermitian=hermitian)
 
 
-def fubini_study_chart(scale: float = 1.0, radius: float = 2.0) -> KahlerChart:
-    """Chart potential scale * log(1 + |z|^2) on the ball |z| < radius."""
+def fubini_study_chart(scale: float = 1.0) -> KahlerChart:
+    """Chart potential scale * log(1 + |z|^2) on the ball |z| < FS_RADIUS."""
 
     def potential(p):
         return scale * np.log1p(_sq_norms(p))
@@ -171,7 +173,7 @@ def fubini_study_chart(scale: float = 1.0, radius: float = 2.0) -> KahlerChart:
         return h
 
     return KahlerChart(name="fubini-study", potential=potential,
-                       hermitian=hermitian, radius=radius)
+                       hermitian=hermitian, radius=FS_RADIUS)
 
 
 def covariant_derivative(chart: KahlerChart, curve: Callable[[float], np.ndarray],
@@ -186,8 +188,7 @@ def covariant_derivative(chart: KahlerChart, curve: Callable[[float], np.ndarray
     return dv + np.einsum("abc,b,c->a", gamma, dp, v)
 
 
-def einstein_report(chart: KahlerChart, n_points: int = 100, seed: int = 0,
-                    sample_radius: float | None = None) -> EinsteinReport:
+def einstein_report(chart: KahlerChart, n_points: int = 100, seed: int = 0) -> EinsteinReport:
     """Einstein constant at the origin and worst pointwise deviation.
 
     The constant s is the least-squares fit of rho = s omega over all
@@ -195,9 +196,7 @@ def einstein_report(chart: KahlerChart, n_points: int = 100, seed: int = 0,
     and the n_points samples go through one batched Ricci evaluation.
     """
     rng = np.random.default_rng(seed)
-    rad = sample_radius
-    if rad is None:
-        rad = 0.75 * chart.radius if chart.radius is not None else 1.0
+    rad = SAMPLE_SHRINK * chart.radius if chart.radius is not None else 1.0
     pts = np.zeros((n_points + 1, DIM))
     for k in range(1, n_points + 1):
         p = rng.uniform(-1.0, 1.0, size=DIM)

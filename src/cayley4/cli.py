@@ -198,8 +198,7 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
     rep = patches.point_report(patch, probes, want_gamma=False)
     cayley_tol = patches.default_cayley_tol(patch.fd_step)
     all_cayley = bool(np.all(rep.cayley_dev <= cayley_tol))
-    all_real = bool(np.all(rep.lam <= 1.0 - 1e-4))
-    any_complexish = bool(np.any(rep.lam > 1.0 - 1e-4))
+    all_real = bool(np.all(rep.lam <= 1.0 - patches.LAMBDA_GUARD))
 
     hs_dev = float(np.max(rep.h_symmetry_dev))
     checks.append({"name": "h_symmetric", "passed": bool(hs_dev <= 1e-6),
@@ -260,7 +259,7 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
                        "passed": bool(inv["difference"] <= max(tol, 1e-4)),
                        **inv})
 
-    if any_complexish:
+    if not all_real:
         checks.append({"name": "gamma_masking",
                        "passed": True,
                        "note": "near-complex points present; gamma checks masked"})

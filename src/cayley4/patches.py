@@ -49,7 +49,8 @@ from typing import Callable
 import numpy as np
 
 from . import _fd
-from .multilinear import DIM, OrientedPlane4, hodge_star_plane, pfaffian4, require_orthonormal
+from .multilinear import (DIM, OrientedPlane4, hodge_star_plane, pfaffian4, require_orthonormal,
+                          restrict_matrix)
 from .hermitian import complexify, omega0_values, realify, standard_structure, wirtinger_values
 from .planes import batch_kahler_cosines, canonical_form, unitary_gauge
 from .ambient import KahlerChart, flat_chart, fubini_study_chart, metric_from_hermitian
@@ -77,8 +78,18 @@ __all__ = [
 # Tangent frames flatter than this smallest singular value are rejected.
 RANK_TOL = 1e-6
 
-# lambda above this has no totally real gauge; gamma is left undefined.
+# lambda above 1 - LAMBDA_GUARD has no totally real gauge; gamma is undefined.
 LAMBDA_GUARD = 1e-4
+
+# Fixed settings of the checks; no routine takes them as arguments.
+FD_STEP = 1e-2          # default Patch.fd_step
+MINIMAL_TOL = 1e-4      # mean curvature norm up to which a patch is minimal (Theorems I, II)
+BRANCH_TOL = 1e-4       # Theorem II: lambda within this of 0 (1) is Lagrangian (complex)
+N_PHASES = 16           # Theorem I: phases alpha of Phi_alpha, equally spaced
+EINSTEIN_SAMPLES = 25   # Theorem II: chart points of the Einstein check, besides the origin
+FD_LEVELS = 3           # Theorem III: step-halving levels
+MIN_ORDER = 1.8         # Theorem III: order each level pair must show above the floor
+TRIPLE_SEED = 0         # verify_h_symmetry: seed of the random coordinate combinations
 
 # Residuals below this floor count as converged in order fits.
 RESIDUAL_FLOOR = 1e-9
@@ -109,7 +120,7 @@ class Patch:
     box: np.ndarray                       # (4, 2) rows (lo, hi)
     grid_n: tuple[int, int, int, int] = (9, 9, 9, 9)
     periodic: tuple[bool, bool, bool, bool] = (False, False, False, False)
-    fd_step: float = 1e-2
+    fd_step: float = FD_STEP
 
     def __post_init__(self):
         b = np.asarray(self.box, dtype=float)
@@ -119,6 +130,10 @@ class Patch:
         h = self.fd_step
         if not (math.isfinite(h) and h > 0):
             raise ValueError(f"finite-difference step must be finite and > 0, got {h}")
+        if len(self.grid_n) != 4 or not all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                for n in self.grid_n):
+            raise ValueError(f"grid_n must hold 4 integers, got {list(self.grid_n)!r}")
         for n, per in zip(self.grid_n, self.periodic):
             if n < (1 if per else 2):
                 raise ValueError(f"grid_n {tuple(self.grid_n)} needs at least 2 "
@@ -139,7 +154,7 @@ class Patch:
         per = np.asarray(self.periodic)
         return np.where(per, lens / n, lens / (n - 1))
 
-    def grid_points(self, interior: bool = False) -> np.ndarray:
+    def grid_points(self) -> np.ndarray:
         """Lattice over the box; periodic axes drop the duplicate endpoint."""
         axes = []
         for a in range(4):
@@ -148,8 +163,7 @@ class Patch:
             if self.periodic[a]:
                 axes.append(lo + (hi - lo) * np.arange(n) / n)
             else:
-                pts = np.linspace(lo, hi, n)
-                axes.append(pts[1:-1] if interior else pts)
+                axes.append(np.linspace(lo, hi, n))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -172,11 +186,6 @@ class Patch:
 def _second_derivatives(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
     """Hessian of the map at parameter points (..., 4): (..., 4, 4, 8)."""
     return _fd.hessian(patch.evaluate, t, h)
-
-
-def _gram(vectors: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gram matrices (..., 4, 4) of the rows of each (..., 4, 8) stack in g."""
-    return vectors @ g @ np.swapaxes(vectors, -1, -2)
 
 
 def _gram_schmidt(vectors: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +245,7 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
     p, tang, *sec = _fd.jet(patch.evaluate, t, h, second)
     hmat = patch.chart.hermitian_at(p)
     g = metric_from_hermitian(hmat)
-    gram = _gram(tang, g)
+    gram = restrict_matrix(g, tang)
     # the smallest singular value of dF is below RANK_TOL exactly when
     # gram - RANK_TOL^2 I is not positive definite
     try:
@@ -249,7 +258,7 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
     model = realify(complexify(frame) @ l)
     st = standard_structure()
     omega = st.j.T @ g
-    a = model @ st.omega_mat @ np.swapaxes(model, -1, -2)
+    a = restrict_matrix(st.omega_mat, model)
     c1, c2 = batch_kahler_cosines(model)
     dev = np.linalg.norm(hodge_star_plane(a) - a, axis=(-2, -1))
     return _PointGeometry(
@@ -424,7 +433,7 @@ class UnitaryFrameField:
         """Re-orthonormalize frames (..., 4, 8) at the points of geo."""
         if self.lagrangian_mode:
             v = geo.tangential(frame)
-            return _gram_schmidt(v, _gram(v, geo.g))[0]
+            return _gram_schmidt(v, restrict_matrix(geo.g, v))[0]
         if np.any(geo.lam < 0.01):
             raise ValueError("lambda dropped below the Cayley-frame regime")
         j = standard_structure().j
@@ -552,8 +561,7 @@ def _vmv(v: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ m @ w[..., None])[..., 0, 0]
 
 
-def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
-                      seed: int = 0, cayley_tol: float | None = None) -> dict:
+def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8) -> dict:
     """Residuals of the two mean-curvature identities at a point.
 
     Identity 1:  g(h(X,Y), JZ) - g(h(X,Z), JY) = (D_X omega)(Z, Y)
@@ -562,13 +570,11 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
     X, Y, Z run over random constant-coefficient combinations of the
     coordinate fields.  Identity 1 holds for any submanifold; identity 2
     uses coclosure of the restricted Kaehler form, so it is only checked
-    when the point is Cayley within tolerance (None otherwise).
+    when the point is Cayley within default_cayley_tol (None otherwise).
     """
     h = patch.fd_step
-    if cayley_tol is None:
-        cayley_tol = default_cayley_tol(h)
     t = np.asarray(t, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(TRIPLE_SEED)
     geo = _point_geometry(patch, t, h, second=True)
     st = standard_structure()
     tang, g, om = geo.tangents, geo.g, geo.omega
@@ -593,7 +599,7 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8,
     res1 = np.abs(lhs - rhs)
 
     identity2_max = None
-    if geo.cayley_dev <= cayley_tol:
+    if geo.cayley_dev <= default_cayley_tol(h):
         mean = h_frame[0, 0] + h_frame[1, 1] + h_frame[2, 2] + h_frame[3, 3]
         xv = rng.standard_normal((n_triples, 4)) @ tang
         xcoef = xv @ (geo.frame @ g).T               # X in the orthonormal frame
@@ -677,7 +683,7 @@ class ConvergenceReport:
     n_probes: int = 0
     n_masked: int = 0
 
-    def passes(self, tol: float, min_order: float = 1.8) -> bool:
+    def passes(self, tol: float) -> bool:
         """Final residual within tol, decaying at the expected order.
 
         Residuals that sit at the rounding floor carry no usable order
@@ -688,7 +694,7 @@ class ConvergenceReport:
             return False
         if self.converged_at_floor or self.final_residual <= RESIDUAL_FLOOR:
             return True
-        return all(o >= min_order or not math.isfinite(o) for o in self.orders)
+        return all(o >= MIN_ORDER or not math.isfinite(o) for o in self.orders)
 
     def to_json(self) -> dict:
         return {
@@ -701,7 +707,7 @@ class ConvergenceReport:
         }
 
 
-def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None, levels: int = 3,
+def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None,
                        cayley_tol: float | None = None) -> ConvergenceReport:
     """Residual of d(gamma) = rho|_N, halving the patch's fd_step per level.
 
@@ -715,7 +721,7 @@ def verify_theorem_iii(patch: Patch, probes: np.ndarray | None = None, levels: i
     rho = patch.chart.ricci_form_at(patch.evaluate(probes))
     residuals = []
     masked = 0
-    for k in range(levels):
+    for k in range(FD_LEVELS):
         h = patch.fd_step / (2 ** k)
         tol_here = cayley_tol if cayley_tol is not None else default_cayley_tol(h)
         r = _dgamma_residual(patch, probes, h, tol_here, rho)
@@ -772,25 +778,23 @@ class CalibrationReport:
         }
 
 
-def verify_theorem_i(patch: Patch, alphas: np.ndarray | None = None,
-                     tol_min: float = 1e-4, points: np.ndarray | None = None) -> CalibrationReport:
+def verify_theorem_i(patch: Patch, points: np.ndarray | None = None) -> CalibrationReport:
     """Calibrated/minimal dichotomy for pointwise Cayley patches (flat chart).
 
     Minimal patches must be calibrated by a single phase (complex patches by
     every phase); non-minimal ones must fail every phase somewhere.
     """
-    if alphas is None:
-        alphas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     if points is None:
-        points = patch.grid_points(interior=False)
+        points = patch.grid_points()
     rep = point_report(patch, np.reshape(points, (-1, 4)), want_gamma=False)
     hmax = float(np.max(rep.mean_curvature_norm))
     frames = rep.tangent_plane
     w = omega0_values(frames)
     pf = wirtinger_values(frames)
+    alphas = np.linspace(0.0, 2.0 * np.pi, N_PHASES, endpoint=False)
     phi = (np.exp(1j * alphas)[:, None] * w[None, :]).real + pf[None, :]
 
-    minimal = hmax <= tol_min
+    minimal = hmax <= MINIMAL_TOL
     if not minimal:
         max_min = float(np.max(np.min(phi, axis=1)))
         return CalibrationReport(
@@ -846,10 +850,7 @@ class EinsteinDichotomyReport:
         }
 
 
-def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
-                      lam_tol: float = 1e-4, cayley_tol: float | None = None,
-                      points: np.ndarray | None = None,
-                      einstein_points: int = 25) -> EinsteinDichotomyReport:
+def verify_theorem_ii(patch: Patch, points: np.ndarray | None = None) -> EinsteinDichotomyReport:
     """Minimal Cayley patches of a nonflat Einstein chart must be complex
     or Lagrangian; precondition failures are reported, never asserted over.
 
@@ -858,11 +859,9 @@ def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
     """
     from .ambient import einstein_report
 
-    if cayley_tol is None:
-        cayley_tol = default_cayley_tol(patch.fd_step)
     if points is None:
-        points = patch.grid_points(interior=False)
-    ein = einstein_report(patch.chart, n_points=einstein_points)
+        points = patch.grid_points()
+    ein = einstein_report(patch.chart, n_points=EINSTEIN_SAMPLES)
     rep = point_report(patch, np.reshape(points, (-1, 4)), want_gamma=False)
     hmax = float(np.max(rep.mean_curvature_norm))
     devmax = float(np.max(rep.cayley_dev))
@@ -877,13 +876,13 @@ def verify_theorem_ii(patch: Patch, tol_min: float = 1e-4,
 
     if abs(ein.scalar) < 1e-3 or ein.max_deviation > 1e-4:
         return report(False, "einstein_chart", None)
-    if devmax > cayley_tol:
+    if devmax > default_cayley_tol(patch.fd_step):
         return report(False, "pointwise_cayley", None)
-    if hmax > tol_min:
+    if hmax > MINIMAL_TOL:
         return report(False, "minimal", None)
-    if lmax <= lam_tol:
+    if lmax <= BRANCH_TOL:
         branch = "lagrangian"
-    elif lmin >= 1.0 - lam_tol:
+    elif lmin >= 1.0 - BRANCH_TOL:
         branch = "complex"
     else:
         branch = "violation"
@@ -896,9 +895,8 @@ def _lambda_sq_terms(patch: Patch, points: np.ndarray) -> np.ndarray:
     parts = []
     for start in range(0, len(points), CHUNK):
         geo = _point_geometry(patch, points[start:start + CHUNK], patch.fd_step)
-        tt = np.swapaxes(geo.tangents, -1, -2)
-        dvol = np.sqrt(np.maximum(np.linalg.det(geo.tangents @ geo.g @ tt), 0.0))
-        parts.append([geo.lam ** 2, dvol, pfaffian4(geo.tangents @ geo.omega @ tt)])
+        dvol = np.sqrt(np.maximum(np.linalg.det(restrict_matrix(geo.g, geo.tangents)), 0.0))
+        parts.append([geo.lam ** 2, dvol, pfaffian4(restrict_matrix(geo.omega, geo.tangents))])
     return np.concatenate(parts, axis=1)
 
 
@@ -924,16 +922,14 @@ def l2_lambda_invariant(patch: Patch) -> dict:
     }
 
 
-def lambda_square_field(patch: Patch, points: np.ndarray | None = None) -> dict:
+def lambda_square_field(patch: Patch) -> dict:
     """Pointwise lambda^2 by two routes over the grid.
 
     Route one extracts the angle cosines of the tangent plane; route two
     divides the restricted squared Kaehler form by twice the volume
     density.  For pointwise Cayley patches both give lambda^2 in [0, 1].
     """
-    if points is None:
-        points = patch.grid_points(interior=False)
-    from_angles, dvol, pf = _lambda_sq_terms(patch, np.reshape(points, (-1, 4)))
+    from_angles, dvol, pf = _lambda_sq_terms(patch, patch.grid_points())
     from_pfaffian = pf / dvol
     return {
         "from_angles": from_angles,
@@ -948,9 +944,20 @@ def lambda_square_field(patch: Patch, points: np.ndarray | None = None) -> dict:
 # Built-in patch families
 # ---------------------------------------------------------------------------
 
+def _finite_array(value, shape: tuple, what: str) -> np.ndarray:
+    """value as a float array of the given shape with finite entries."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != shape or not np.isfinite(out).all():
+        raise ValueError(f"{what} must be {' x '.join(map(str, shape))} finite numbers")
+    return out
+
+
 def _affine_patch(params: dict, chart: KahlerChart) -> tuple[Callable, np.ndarray, tuple]:
     if "frame" in params:
-        base = np.asarray(params["frame"], dtype=float)
+        base = _finite_array(params["frame"], (4, DIM), "affine frame")
     else:
         # default is the real-axes (special Lagrangian) plane
         theta1 = float(params.get("theta1", 0.5 * math.pi))
@@ -958,7 +965,7 @@ def _affine_patch(params: dict, chart: KahlerChart) -> tuple[Callable, np.ndarra
         from .planes import build_plane
         u = realify(np.eye(4, dtype=complex))
         base = build_plane(u, theta1, theta2).frame
-    offset = np.asarray(params.get("offset", np.zeros(DIM)), dtype=float)
+    offset = _finite_array(params.get("offset", np.zeros(DIM)), (DIM,), "affine offset")
 
     def fmap(t):
         # summed term by term so that every row rounds the same way
@@ -1036,7 +1043,7 @@ def _angle_sum_shift(t: np.ndarray) -> np.ndarray:
 
 
 def _product_torus(params: dict, chart: KahlerChart):
-    radii = np.asarray(params.get("radii", [1.0, 1.0, 1.0, 1.0]), dtype=float)
+    radii = _finite_array(params.get("radii", [1.0, 1.0, 1.0, 1.0]), (4,), "radii")
 
     def fmap(t):
         return _circles(radii, t)
@@ -1080,7 +1087,7 @@ def _fs_lagrangian_torus(params: dict, chart: KahlerChart):
     # (a closed perturbation) are exactly Lagrangian.  eps = 0 gives the
     # product torus; eps > 0 couples the angles, which keeps finite
     # differences honest.
-    kappa = np.asarray(params.get("kappa", [0.08, 0.1, 0.12, 0.09]), dtype=float)
+    kappa = _finite_array(params.get("kappa", [0.08, 0.1, 0.12, 0.09]), (4,), "kappa")
     eps = float(params.get("eps", 0.02))
 
     def fmap(t):
@@ -1122,7 +1129,7 @@ BUILTIN_PATCHES = {
 def builtin_patch(name: str, params: dict | None = None,
                   chart: KahlerChart | None = None,
                   grid_n: tuple[int, int, int, int] | None = None,
-                  fd_step: float = 1e-2) -> Patch:
+                  fd_step: float = FD_STEP) -> Patch:
     if name not in BUILTIN_PATCHES:
         raise KeyError(f"unknown patch '{name}'; known: {sorted(BUILTIN_PATCHES)}")
     maker, default_chart = BUILTIN_PATCHES[name]
@@ -1131,7 +1138,7 @@ def builtin_patch(name: str, params: dict | None = None,
     fmap, box, periodic = maker(params or {}, chart)
     return Patch(
         name=name, chart=chart, map_fn=fmap, box=box,
-        grid_n=grid_n or (9, 9, 9, 9), periodic=periodic, fd_step=fd_step,
+        grid_n=(9, 9, 9, 9) if grid_n is None else grid_n, periodic=periodic, fd_step=fd_step,
     )
 
 
@@ -1142,6 +1149,8 @@ def patch_from_spec(spec: dict) -> Patch:
              "ambient": "flat" | "fubini-study", "fd_step": float}.
     """
     name = spec["name"]
+    if not isinstance(name, str):
+        raise ValueError("name must be a string")
     chart_name = spec.get("ambient")
     chart = None
     if chart_name == "flat":
@@ -1150,9 +1159,14 @@ def patch_from_spec(spec: dict) -> Patch:
         chart = fubini_study_chart()
     elif chart_name is not None:
         raise ValueError(f"unknown ambient chart '{chart_name}'")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("params must be an object")
     grid = spec.get("grid", {})
+    if not isinstance(grid, dict) or not isinstance(grid.get("n", []), list):
+        raise ValueError('grid must be an object {"n": [4 integers]}')
     grid_n = tuple(grid.get("n", (9, 9, 9, 9)))
-    if len(grid_n) != 4:
-        raise ValueError("grid.n needs 4 entries")
-    return builtin_patch(name, spec.get("params"), chart, grid_n,
-                         float(spec.get("fd_step", 1e-2)))
+    try:
+        return builtin_patch(name, params, chart, grid_n, float(spec.get("fd_step", FD_STEP)))
+    except TypeError as exc:               # a list or an object where a number belongs
+        raise ValueError(str(exc)) from exc

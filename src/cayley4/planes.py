@@ -92,7 +92,11 @@ DEGENERATE_SIN = 1e-8
 # Planes with lambda >= 1 - NEAR_COMPLEX_GUARD have no usable unitary gauge.
 NEAR_COMPLEX_GUARD = 1e-8
 
+# Angle gaps, Lagrangian cosines and self-duality defects up to this are 0.
 CAYLEY_TOL = 1e-10
+
+# Singular values of a restricted Kaehler form up to this count as 0.
+SIGMA_FLOOR = 1e-12
 
 
 class NearComplexError(ValueError):
@@ -156,9 +160,7 @@ def b_operator(plane: OrientedPlane4) -> BOperator:
     Entry (i, j) is g(J frame_j, frame_i), so that matrix-vector products
     act on frame coordinates.
     """
-    st = standard_structure()
-    f = plane.frame
-    return BOperator(matrix=f @ st.j @ f.T)
+    return BOperator(matrix=restrict_matrix(standard_structure().j, plane.frame))
 
 
 def _omega_restriction(plane: OrientedPlane4) -> np.ndarray:
@@ -184,7 +186,7 @@ def _complete_orthonormal(known: list[np.ndarray], pool: np.ndarray,
     return out
 
 
-def _canonical_pairs(a: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, float, float]:
+def _canonical_pairs(a: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Rotate a skew 4x4 form to c1*e^12 + c2*e^34 with c1 = sigma1 >= |c2|.
 
     Returns (r, c1, c2) with r in SO(4), columns holding the new frame in
@@ -194,7 +196,7 @@ def _canonical_pairs(a: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, flo
     evals, vecs = np.linalg.eigh(-a @ a)          # ascending sigma^2 pairs
     s1 = float(np.sqrt(max(evals[3], 0.0)))
     s2 = float(np.sqrt(max(evals[0], 0.0)))
-    if s1 <= tol:
+    if s1 <= SIGMA_FLOOR:
         return np.eye(4), 0.0, 0.0
 
     v = vecs[:, 3]
@@ -204,7 +206,7 @@ def _canonical_pairs(a: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, flo
     rest = _complete_orthonormal([p1, p2], vecs[:, ::-1].T)
     q = rest[2]
     aq = a @ q
-    if np.linalg.norm(aq) <= max(tol, 1e-14):
+    if np.linalg.norm(aq) <= SIGMA_FLOOR:
         q1, q2 = q, rest[3]
         c2 = 0.0
     else:
@@ -226,18 +228,16 @@ def normalize_angle_pair(theta1: float, theta2: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _classify(theta1: float, theta2: float,
-              sin_tol: float = DEGENERATE_SIN,
-              cayley_tol: float = CAYLEY_TOL) -> Classification:
+def _classify(theta1: float, theta2: float) -> Classification:
     s1, s2 = np.sin(theta1), np.sin(theta2)
-    n_deg = int(s1 <= sin_tol) + int(s2 <= sin_tol)
+    n_deg = int(s1 <= DEGENERATE_SIN) + int(s2 <= DEGENERATE_SIN)
     if n_deg == 2:
         return "complex"
     if n_deg == 1:
         return "partially_complex"
-    if abs(np.cos(theta1)) <= cayley_tol and abs(np.cos(theta2)) <= cayley_tol:
+    if abs(np.cos(theta1)) <= CAYLEY_TOL and abs(np.cos(theta2)) <= CAYLEY_TOL:
         return "lagrangian"
-    if abs(theta1 - theta2) <= cayley_tol:
+    if abs(theta1 - theta2) <= CAYLEY_TOL:
         return "cayley_totally_real"
     return "totally_real_non_cayley"
 
@@ -264,8 +264,8 @@ def _angle_report(c1: float, c2: float, **basis) -> AngleReport:
 
 def kahler_angles(plane: OrientedPlane4) -> AngleReport:
     """Angle extraction without the canonical basis (cheap path)."""
-    _, c1, c2 = _canonical_pairs(_omega_restriction(plane))
-    return _angle_report(c1, c2)
+    c1, c2 = batch_kahler_cosines(plane.frame[None])
+    return _angle_report(float(c1[0]), float(c2[0]))
 
 
 def _unitary_gram_dev(u: np.ndarray) -> float:
@@ -344,7 +344,7 @@ def build_plane(unitary_basis: np.ndarray, theta1: float, theta2: float) -> Orie
     return OrientedPlane4(f)
 
 
-def is_cayley(plane: OrientedPlane4, tol: float = CAYLEY_TOL) -> tuple[bool, float | None]:
+def is_cayley(plane: OrientedPlane4) -> tuple[bool, float | None]:
     """Self-duality test of the restricted Kaehler form.
 
     Returns (flag, lambda); lambda = (cos(theta1) + cos(theta2)) / 2 clamped
@@ -353,29 +353,29 @@ def is_cayley(plane: OrientedPlane4, tol: float = CAYLEY_TOL) -> tuple[bool, flo
     """
     a = _omega_restriction(plane)
     dev = float(np.linalg.norm(hodge_star_plane(a) - a))
-    if dev > tol:
+    if dev > CAYLEY_TOL:
         return False, None
-    _, c1, c2 = _canonical_pairs(a)
-    lam = float(np.clip(0.5 * (c1 + c2), 0.0, 1.0))
+    c1, c2 = batch_kahler_cosines(plane.frame[None])
+    lam = float(np.clip(0.5 * (c1[0] + c2[0]), 0.0, 1.0))
     b = b_operator(plane).matrix
     cross = float(np.linalg.norm(b @ b + lam * lam * np.eye(4)))
-    if cross > max(100 * tol, 1e-8):
+    if cross > max(100 * CAYLEY_TOL, 1e-8):
         raise RuntimeError(
             f"self-dual restriction but B^2 + lambda^2 id = {cross:.3e}; "
             "inconsistent plane data")
     return True, lam
 
 
-def cayley_basis(plane: OrientedPlane4, tol: float = CAYLEY_TOL) -> np.ndarray:
+def cayley_basis(plane: OrientedPlane4) -> np.ndarray:
     """Frame (e1, j e1, e3, j e3) adapted to a Cayley plane, j = B / lambda.
 
     For lambda = 0 every orthonormal frame qualifies and the input frame is
     returned unchanged.  Non-Cayley planes are rejected.
     """
-    ok, lam = is_cayley(plane, tol)
+    ok, lam = is_cayley(plane)
     if not ok:
         raise NotCayleyError("cayley_basis needs a Cayley plane")
-    if lam <= tol:
+    if lam <= CAYLEY_TOL:
         return plane.frame.copy()
     jmat = b_operator(plane).matrix / lam          # frame-coordinate j, j^2 = -id
     f = plane.frame

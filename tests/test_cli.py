@@ -219,6 +219,26 @@ def test_bad_patch_spec_exits_2(spec, tmp_path, capsys):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("spec", [
+    {"name": "affine", "params": {"frame": [[1, 0], [0, 1]]}},
+    {"name": "affine", "params": {"offset": [1, 2]}},
+    {"name": "affine", "params": [1, 2]},
+    {"name": "affine", "grid": 5},
+    {"name": "affine", "grid": {"n": 5}},
+    {"name": "affine", "grid": {"n": ["a", 3, 3, 3]}},
+    {"name": "affine", "grid": {"n": [2.5, 3, 3, 3]}},
+    {"name": ["affine"]},
+    {"name": "affine", "fd_step": [0.01]},
+    {"name": "complex-graph", "params": {"a": [0.3]}},
+    {"name": "product-torus", "params": {"radii": [1, 2]}},
+])
+def test_malformed_patch_spec_exits_2(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify-patch", "--spec", str(path)]) == USAGE_ERROR
+    assert _one_line_error(capsys)
+
+
 def test_bad_grid_on_name_path_exits_2(capsys):
     assert main(["verify-patch", "--name", "affine", "--grid", "1", "5", "5", "5"]) \
         == USAGE_ERROR

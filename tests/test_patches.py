@@ -360,6 +360,30 @@ def test_patch_rejects_bad_step_and_grid(fields):
         Patch(name="bad", chart=lg.chart, map_fn=lg.map_fn, box=lg.box, **fields)
 
 
+@pytest.mark.parametrize("grid_n", [(True, 3, 3, 3), (2.5, 3, 3, 3), ("a", 3, 3, 3),
+                                    (3, 3, 3), ()])
+def test_patch_rejects_grid_that_is_not_four_integers(grid_n):
+    lg = builtin_patch("lagrangian-graph")
+    with pytest.raises(ValueError, match="4 integers"):
+        Patch(name="bad", chart=lg.chart, map_fn=lg.map_fn, box=lg.box, grid_n=grid_n)
+    # numpy integers are integers
+    Patch(name="ok", chart=lg.chart, map_fn=lg.map_fn, box=lg.box,
+          grid_n=tuple(np.arange(3, 7)))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("affine", {"frame": np.eye(2).tolist()}),
+    ("affine", {"frame": np.full((4, 8), np.nan).tolist()}),
+    ("affine", {"frame": "frame"}),
+    ("affine", {"offset": [1.0, 2.0]}),
+    ("product-torus", {"radii": [1.0, 2.0]}),
+    ("fs-lagrangian-torus", {"kappa": [0.1] * 5}),
+])
+def test_array_params_are_checked_when_the_patch_is_built(name, params):
+    with pytest.raises(ValueError, match="finite numbers"):
+        builtin_patch(name, params)
+
+
 def test_periodic_axis_allows_a_single_point():
     pt = builtin_patch("product-torus", grid_n=(1, 1, 1, 1))
     assert pt.grid_points().shape == (1, 4)
