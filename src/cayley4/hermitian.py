@@ -207,13 +207,17 @@ def wirtinger_values(frames: np.ndarray) -> np.ndarray:
 
 
 def phi_values(frames: np.ndarray, alphas: np.ndarray | float) -> np.ndarray:
-    """Phi_alpha on frames; result shape = alphas.shape + frames.shape[:-2].
+    """Phi_alpha on frames; result shape = alphas.shape + frames.shape[:-2]."""
+    p = wirtinger_values(frames)          # its (n, 4, 8) temporary is freed before phi exists
+    return _phase_combination(omega0_values(frames), p, alphas)
+
+
+def _phase_combination(w: np.ndarray, p: np.ndarray, alphas: np.ndarray | float) -> np.ndarray:
+    """Phi_alpha from w = Omega_0 and p = (omega^2/2) on the same planes.
 
     Re(e^{i alpha} Omega_0) = cos(alpha) Re Omega_0 - sin(alpha) Im Omega_0 is
     accumulated in place, so no complex (alphas x frames) array is formed.
     """
-    p = wirtinger_values(frames)          # its (n, 4, 8) temporary is freed before phi exists
-    w = omega0_values(frames)
     alphas = np.asarray(alphas, dtype=float)
     phi = np.multiply.outer(np.cos(alphas), w.real)
     phi -= np.multiply.outer(np.sin(alphas), w.imag)
@@ -235,24 +239,26 @@ def _qr_rows(cols: np.ndarray) -> np.ndarray:
     return np.swapaxes(q, -1, -2)
 
 
-def haar_frames(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-random orthonormal 4-frames in R^8, shape (n, 4, 8).
+def _haar_blocks(rng: np.random.Generator, n: int):
+    """Yield n Haar-random orthonormal 4-frames in R^8 as (m, 4, 8) blocks of
+    m <= _BLOCK frames.
 
-    Row a of frame k is column a of Q in the thin QR of the Gaussian
-    matrix rng.standard_normal((n, 8, 4))[k], with R's diagonal > 0, which
-    makes Q Haar-distributed (Mezzadri, Notices AMS 54, 2007).  Q comes
-    from classical Gram-Schmidt with one re-orthogonalisation pass ("twice
-    is enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005),
-    run in place on component-major (8, 4, block) copies, so that every
-    operation is on a contiguous vector over frames.  It agrees with
-    LAPACK's QR to rounding level.  The frames are a view of the (n, 8, 4)
-    array of columns, as with _qr_rows; restrict_matrix is faster on that
-    layout than on contiguous rows.
+    Each block draws its own rng.standard_normal((m, 8, 4)); the draws
+    continue one random stream, so the blocks concatenate to haar_frames(rng,
+    n) bit for bit.  Row a of frame k is column a of Q in the thin QR of the
+    Gaussian matrix of frame k, with R's diagonal > 0, which makes Q
+    Haar-distributed (Mezzadri, Notices AMS 54, 2007).  Q comes from
+    classical Gram-Schmidt with one re-orthogonalisation pass ("twice is
+    enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), run
+    in place on a component-major (8, 4, m) copy, so that every operation is
+    on a contiguous vector over frames.  It agrees with LAPACK's QR to
+    rounding level.  Each block is a view of its (m, 8, 4) array of columns,
+    as with _qr_rows; restrict_matrix is faster on that layout than on
+    contiguous rows.
     """
-    g = rng.standard_normal((n, DIM, 4))
-    cols = np.empty((n, DIM, 4))
     for s in range(0, n, _BLOCK):
-        w = np.transpose(g[s:s + _BLOCK], (1, 2, 0)).copy()   # w[i, a]: entry i of column a
+        g = rng.standard_normal((min(_BLOCK, n - s), DIM, 4))
+        w = np.transpose(g, (1, 2, 0)).copy()      # w[i, a]: entry i of column a
         for a in range(4):
             v = w[:, a]
             for _ in range(2 if a else 0):
@@ -260,7 +266,17 @@ def haar_frames(rng: np.random.Generator, n: int) -> np.ndarray:
                 for b in range(a):
                     v -= r[b] * w[:, b]
             v /= np.sqrt(np.einsum("in,in->n", v, v))
-        cols[s:s + _BLOCK] = np.transpose(w, (2, 0, 1))
+        yield np.swapaxes(np.transpose(w, (2, 0, 1)).copy(), -1, -2)
+
+
+def haar_frames(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-random orthonormal 4-frames in R^8, shape (n, 4, 8): the blocks
+    of _haar_blocks(rng, n) put together, in the same column layout."""
+    cols = np.empty((n, DIM, 4))
+    s = 0
+    for block in _haar_blocks(rng, n):
+        cols[s:s + len(block)] = np.swapaxes(block, -1, -2)
+        s += len(block)
     return np.swapaxes(cols, -1, -2)
 
 
@@ -295,21 +311,26 @@ def _values_and_gradients(t: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray
 def comass_detail(form: KForm, n_samples: int = 100, refine_steps: int = 400,
                   seed: int = 0) -> dict:
     """Per-sample ascent results backing the comass estimate.  Each start
-    keeps its own step size and stops after 40 halvings without ascent; the
-    starts still ascending step together, as one batch."""
+    keeps its own step size tau.  A start stops once its first-order
+    predicted gain tau ||rg||^2 (rg: the Riemannian gradient) is at most
+    eps |f|, where any ascent could only be rounding noise; the test
+    ||rg|| >= 1e-13 and a cap of 40 halvings without ascent per step stay
+    as backstops.  The starts still ascending step together, as one batch."""
     rng = np.random.default_rng(seed)
     starts = haar_frames(rng, n_samples)
     start_vals = evaluate_frames(form, starts)
     t = _dense_tensor(form)
     x, f, grad = starts.copy(), start_vals.copy(), _values_and_gradients(t, starts)[1]
     tau = np.full(n_samples, 0.25)
+    eps = np.finfo(float).eps
     live = np.arange(n_samples)
     for _ in range(refine_steps):
         xs, g = x[live], grad[live]
         sym = 0.5 * (xs @ np.swapaxes(g, -1, -2) + g @ np.swapaxes(xs, -1, -2))
         rg = g - sym @ xs                          # tangent projection on the Stiefel
-        moving = np.linalg.norm(rg, axis=(-2, -1)) >= 1e-13
-        live, k, xs, rg = live[moving], live[moving], xs[moving], rg[moving]
+        rn2 = np.einsum("nab,nab->n", rg, rg)
+        moving = (np.sqrt(rn2) >= 1e-13) & (tau[live] * rn2 > eps * np.abs(f[live]))
+        live, k, xs, rg, rn2 = live[moving], live[moving], xs[moving], rg[moving], rn2[moving]
         for _ in range(40):
             if not k.size:
                 break
@@ -318,8 +339,11 @@ def comass_detail(form: KForm, n_samples: int = 100, refine_steps: int = 400,
             up = fy > f[k]
             x[k[up]], f[k[up]], grad[k[up]] = y[up], fy[up], gy[up]
             tau[k] = np.where(up, np.minimum(tau[k] * 1.4, 1.0), 0.5 * tau[k])
-            k, xs, rg = k[~up], xs[~up], rg[~up]
-        live = np.setdiff1d(live, k)               # k: no ascent left at float precision
+            # a start whose halved step predicts no gain above rounding stays
+            # live and is dropped by the test at the top of the next step
+            retry = ~up & (tau[k] * rn2 > eps * np.abs(f[k]))
+            k, xs, rg, rn2 = k[retry], xs[retry], rg[retry], rn2[retry]
+        live = np.setdiff1d(live, k)               # k: 40 halvings without ascent
         if not live.size:
             break
     best = int(np.argmax(f))

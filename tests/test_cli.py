@@ -1,12 +1,15 @@
 """Command line interface: schemas, determinism, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cayley4 import build_plane, realify
 from cayley4.cli import CHECK_FAILURE, USAGE_ERROR, main
+from cayley4.hermitian import haar_frames, phi_values
+from cayley4.planes import batch_kahler_cosines
 
 
 @pytest.fixture
@@ -68,6 +71,41 @@ def test_scan_different_seed_changes_sample(tmp_path):
     _, out1 = _run_json(["scan", "--n", "300", "--seed", "5"], tmp_path, "a.json")
     _, out2 = _run_json(["scan", "--n", "300", "--seed", "6"], tmp_path, "b.json")
     assert out1["max_phi"] != out2["max_phi"]
+
+
+@pytest.mark.parametrize("seed", [5, 4])       # seed 4 draws one near-Cayley plane
+def test_scan_over_blocks_matches_the_whole_array_route(seed, tmp_path):
+    # 4097 frames: one full 4096-frame block and a last block of one frame
+    rc, out = _run_json(["scan", "--n", "4097", "--seed", str(seed)], tmp_path)
+    assert rc == 0
+    frames = haar_frames(np.random.default_rng(seed), 4097)
+    c1, c2 = batch_kahler_cosines(frames)
+    theta1, theta2 = np.arccos(np.clip(c1, -1, 1)), np.arccos(np.clip(c2, -1, 1))
+    gap = np.abs(theta1 - theta2)
+    near = (0.5 * (c1 + c2))[gap <= 0.02]
+    assert out["theta1_histogram"]["counts"] == np.histogram(
+        theta1, bins=12, range=(0.0, np.pi / 2))[0].tolist()
+    assert out["theta2_histogram"]["counts"] == np.histogram(
+        theta2, bins=12, range=(0.0, np.pi))[0].tolist()
+    assert out["cayley_fraction"] == float(np.mean(gap <= 1e-8))
+    assert out["near_cayley_count"] == near.size
+    assert out["lambda_near_cayley_quantiles"] == (
+        [float(np.quantile(near, x)) for x in (0.0, 0.25, 0.5, 0.75, 1.0)] if near.size else [])
+    phi = phi_values(frames, np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
+    assert abs(out["max_phi"] - float(np.max(phi))) <= 1e-15
+
+
+def test_scan_memory_does_not_grow_with_a_frame_stack(tmp_path):
+    # blocks of 4096 frames: no (n, 4, 8) stack or (16, n) Phi array, only
+    # the two (n,) cosine arrays (0.8 MiB each at n = 10^5)
+    tracemalloc.start()
+    try:
+        rc = main(["scan", "--n", "100000", "--seed", "2", "--out", str(tmp_path / "s.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 16 * 2**20
 
 
 def test_comass_gates(tmp_path):

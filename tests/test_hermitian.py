@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cayley4 import hermitian
 from cayley4.hermitian import (
     _dense_tensor,
     _values_and_gradients,
@@ -118,7 +119,7 @@ def test_haar_frames_match_lapack_qr(n):
 
 
 def test_haar_frames_memory_is_bounded():
-    # the Gaussian draw and the frames are 24.4 MiB each; blocks add 1 MiB
+    # the frames are 24.4 MiB; each block adds its own draw and copies, 1 MiB each
     rng = np.random.default_rng(32)
     tracemalloc.start()
     try:
@@ -127,6 +128,14 @@ def test_haar_frames_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 4096, 4097])
+def test_haar_blocks_concatenate_to_haar_frames(n):
+    blocks = list(hermitian._haar_blocks(np.random.default_rng(34), n))
+    assert [len(b) for b in blocks] == [min(4096, n - s) for s in range(0, n, 4096)]
+    frames = haar_frames(np.random.default_rng(34), n)
+    assert np.array_equal(np.concatenate(blocks), frames)
 
 
 def test_omega0_values_match_determinant():
@@ -163,6 +172,23 @@ def test_comass_refinement_success_rate():
     finals = np.asarray(detail["final_values"])
     assert np.mean(finals >= 1.0 - 1e-6) >= 0.95
     assert detail["value"] <= 1.0 + 1e-9
+
+
+def test_comass_starts_stop_once_no_gain_above_rounding_is_left(monkeypatch):
+    calls = []
+
+    def counted(t, frames):
+        calls.append(len(frames))
+        return _values_and_gradients(t, frames)
+
+    monkeypatch.setattr(hermitian, "_values_and_gradients", counted)
+    detail = comass_detail(cayley_calibration(0.5).form, n_samples=50,
+                           refine_steps=400, seed=2)
+    assert len(calls) <= 100
+    assert abs(detail["value"] - 1.0) <= 1e-14
+    # the maximum on a generic form is kept to rounding level
+    generic = comass_detail(_generic_form(8), n_samples=12, refine_steps=150, seed=3)
+    assert abs(generic["value"] - 6.107485162871404) <= 1e-13
 
 
 def test_comass_zero_form():
