@@ -16,8 +16,10 @@ form is
 realized as a central-difference Hessian of log det(h) (step H_CURV); the
 sign is the one that makes the Fubini-Study chart Einstein with positive
 s (rho = (5/c) omega for the potential c log(1 + |z|^2)).  Christoffel
-symbols difference the metric with step H_METRIC, for every chart; both
-steps are module constants, and all stencils are those of `_fd`.
+symbols come from the Hermitian block by the Kaehler formula
+Gamma^l_ij = h^{l kbar} d_i h_{j kbar}, with d_i h one central difference
+(step H_METRIC), for every chart; both steps are module constants, and
+all stencils are those of `_fd`.
 
 Every point-level method takes a point (8,) or a stack of points
 (..., 8) and returns its result with the same leading axes; potentials
@@ -108,13 +110,41 @@ class KahlerChart:
     # -- Connection and curvature ----------------------------------------
 
     def christoffel_at(self, p: np.ndarray) -> np.ndarray:
-        """Gamma[..., a, b, c] = Gamma^a_{bc} of the Levi-Civita connection."""
-        # the metric and dg[..., c, a, b] = d g_ab / d p_c from one stencil
-        g, dg = _fd.jet(self.metric_at, p, H_METRIC)
-        ginv = np.linalg.inv(g)
-        # S[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
-        s = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
-        return 0.5 * (ginv @ s.reshape(s.shape[:-2] + (-1,))).reshape(s.shape)
+        """Gamma[..., a, b, c] = Gamma^a_{bc} of the Levi-Civita connection.
+
+        A Kaehler connection has pure type, so the complex symbols
+
+            Gamma^l_ij = h^{l kbar} d_i h_{j kbar} = (d_i h . h^-1)_jl,
+            d_i = d/dz_i = (d/dx_i - i d/dy_i) / 2,
+
+        carry all of it: grad_{x_i} x_j = Re Gamma^l_ij x_l + Im Gamma^l_ij y_l,
+        and the y-rows and y-columns follow from J being parallel.  d_i h
+        is one central difference of the Hermitian block (step H_METRIC),
+        on its real and imaginary parts, and Gamma is symmetrized in i, j,
+        which the Kaehler condition d_i h_{j kbar} = d_j h_{i kbar} makes
+        exact in the limit.
+        """
+        # h (..., 4, 4) and dh[..., c, j, k] = d h_{j kbar} / d p_c, as real views
+        hr, dhr = _fd.jet(
+            lambda q: np.ascontiguousarray(self.hermitian_at(q), dtype=complex).view(float),
+            p, H_METRIC)
+        h, dh = hr.view(complex), dhr.view(complex)
+        dz = 0.5 * (dh[..., 0::2, :, :] - 1j * dh[..., 1::2, :, :])
+        cg = dz @ np.linalg.inv(h)[..., None, :, :]           # cg[..., i, j, l]
+        cg = np.moveaxis(0.5 * (cg + np.swapaxes(cg, -3, -2)), -1, -3)
+        re, im = cg.real, cg.imag
+        # 0 - x is -x, except that it keeps a zero +0.0 (the flat chart's Gamma)
+        nre, nim = 0.0 - re, 0.0 - im
+        gamma = np.empty(cg.shape[:-3] + (DIM, DIM, DIM))
+        gamma[..., 0::2, 0::2, 0::2] = re
+        gamma[..., 1::2, 0::2, 0::2] = im
+        gamma[..., 0::2, 0::2, 1::2] = nim
+        gamma[..., 1::2, 0::2, 1::2] = re
+        gamma[..., 0::2, 1::2, 0::2] = nim
+        gamma[..., 1::2, 1::2, 0::2] = re
+        gamma[..., 0::2, 1::2, 1::2] = nre
+        gamma[..., 1::2, 1::2, 1::2] = nim
+        return gamma
 
     def log_det_h(self, p: np.ndarray) -> np.ndarray:
         sign, logdet = np.linalg.slogdet(self.hermitian_at(p))

@@ -233,12 +233,18 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
             # a numerical breakdown of the check is a failure, not a skip
             checks.append({"name": "gamma_variants_agree", "passed": False,
                            "error": str(exc)})
-        rep3 = patches.verify_theorem_iii(patch)
-        checks.append({"name": "theorem_iii", "passed": rep3.passes(tol),
-                       **rep3.to_json()})
+        try:
+            rep3 = patches.verify_theorem_iii(patch)
+            checks.append({"name": "theorem_iii", "passed": rep3.passes(tol),
+                           **rep3.to_json()})
+        except (ambient.ChartDomainError, patches.RankError):
+            raise
+        except ValueError as exc:
+            # a run that verified nothing (every probe masked) did not pass
+            checks.append({"name": "theorem_iii", "passed": False, "error": str(exc)})
 
     if flat and all_cayley:
-        rep1 = patches.verify_theorem_i(patch, points=probes)
+        rep1 = patches.verify_theorem_i(patch, points=probes, report=rep)
         if rep1.minimal:
             ok = (rep1.branch == "complex_all_alpha"
                   or (rep1.calibration_defect is not None
@@ -248,7 +254,7 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
         checks.append({"name": "theorem_i", "passed": bool(ok), **rep1.to_json()})
 
     if not flat:
-        rep2 = patches.verify_theorem_ii(patch, points=probes)
+        rep2 = patches.verify_theorem_ii(patch, points=probes, report=rep)
         if rep2.preconditions_met:
             ok = rep2.branch in ("complex", "lagrangian")
             note = None

@@ -778,15 +778,30 @@ class CalibrationReport:
         }
 
 
-def verify_theorem_i(patch: Patch, points: np.ndarray | None = None) -> CalibrationReport:
+def _report_at(patch: Patch, points: np.ndarray | None,
+               report: PointReport | None) -> tuple[np.ndarray, PointReport]:
+    """(points (N, 4), the PointReport there): the caller's report at the
+    points, or one computed at them (default: the whole grid)."""
+    if points is None:
+        points = patch.grid_points() if report is None else report.t
+    points = np.reshape(points, (-1, 4))
+    if report is None:
+        return points, point_report(patch, points, want_gamma=False)
+    if not np.array_equal(report.t, points):
+        raise ValueError("report is not the PointReport at the given points")
+    return points, report
+
+
+def verify_theorem_i(patch: Patch, points: np.ndarray | None = None,
+                     report: PointReport | None = None) -> CalibrationReport:
     """Calibrated/minimal dichotomy for pointwise Cayley patches (flat chart).
 
     Minimal patches must be calibrated by a single phase (complex patches by
-    every phase); non-minimal ones must fail every phase somewhere.
+    every phase); non-minimal ones must fail every phase somewhere.  A
+    caller that already holds the PointReport at the points (a stack) can
+    pass it as report, which saves computing it again.
     """
-    if points is None:
-        points = patch.grid_points()
-    rep = point_report(patch, np.reshape(points, (-1, 4)), want_gamma=False)
+    points, rep = _report_at(patch, points, report)
     hmax = float(np.max(rep.mean_curvature_norm))
     frames = rep.tangent_plane
     w = omega0_values(frames)
@@ -850,19 +865,19 @@ class EinsteinDichotomyReport:
         }
 
 
-def verify_theorem_ii(patch: Patch, points: np.ndarray | None = None) -> EinsteinDichotomyReport:
+def verify_theorem_ii(patch: Patch, points: np.ndarray | None = None,
+                      report: PointReport | None = None) -> EinsteinDichotomyReport:
     """Minimal Cayley patches of a nonflat Einstein chart must be complex
     or Lagrangian; precondition failures are reported, never asserted over.
 
     Preconditions, in order: the chart is Einstein with nonzero constant,
     every sampled point is Cayley within tolerance, the patch is minimal.
+    report is as in verify_theorem_i.
     """
     from .ambient import einstein_report
 
-    if points is None:
-        points = patch.grid_points()
     ein = einstein_report(patch.chart, n_points=EINSTEIN_SAMPLES)
-    rep = point_report(patch, np.reshape(points, (-1, 4)), want_gamma=False)
+    points, rep = _report_at(patch, points, report)
     hmax = float(np.max(rep.mean_curvature_norm))
     devmax = float(np.max(rep.cayley_dev))
     lmin, lmax = float(np.min(rep.lam)), float(np.max(rep.lam))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from cayley4 import _fd
+from cayley4.ambient import H_METRIC
 from cayley4 import (
     ChartDomainError,
     KahlerChart,
@@ -110,7 +112,71 @@ def test_fs_complex_structure_is_parallel():
         gamma = fs.christoffel_at(p)
         nj = (np.einsum("acd,db->cab", gamma, st.j)
               - np.einsum("ad,dcb->cab", st.j, gamma))
-        assert np.abs(nj).max() < 1e-8
+        assert np.abs(nj).max() <= 1e-14
+
+
+def _cp1_x_c3_chart() -> KahlerChart:
+    # CP^1 x C^3: rho = 2 omega on the first factor and 0 on the rest
+    def hermitian(p):
+        h = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
+        h[..., 0, 0] = 1.0 / (1.0 + p[..., 0] ** 2 + p[..., 1] ** 2) ** 2
+        for k in range(1, 4):
+            h[..., k, k] = 1.0
+        return h
+
+    def potential(p):
+        return np.log1p(p[..., 0] ** 2 + p[..., 1] ** 2) + np.sum(p[..., 2:] ** 2, axis=-1)
+
+    return KahlerChart(name="cp1-x-c3", potential=potential, hermitian=hermitian, radius=2.0)
+
+
+def _quartic_chart() -> KahlerChart:
+    # K = |z|^2 / 2 + |z_0|^2 |z_1|^2: h has the off-diagonal entry
+    # h_{0 1bar} = conj(z_0) z_1, so a transposed h would show
+    def hermitian(p):
+        z = p[..., 0::2] + 1j * p[..., 1::2]
+        h = np.broadcast_to(0.5 * np.eye(4, dtype=complex), p.shape[:-1] + (4, 4)).copy()
+        h[..., 0, 0] += np.abs(z[..., 1]) ** 2
+        h[..., 1, 1] += np.abs(z[..., 0]) ** 2
+        h[..., 0, 1] += np.conj(z[..., 0]) * z[..., 1]
+        h[..., 1, 0] += z[..., 0] * np.conj(z[..., 1])
+        return h
+
+    def potential(p):
+        sq = p * p
+        return 0.5 * np.sum(sq, axis=-1) + (sq[..., 0] + sq[..., 1]) * (sq[..., 2] + sq[..., 3])
+
+    return KahlerChart(name="quartic", potential=potential, hermitian=hermitian)
+
+
+def _christoffel_from_real_metric(chart, p):
+    # 1/2 g^-1 (d_b g_dc + d_c g_db - d_d g_bc), the real-metric route
+    g, dg = _fd.jet(chart.metric_at, p, H_METRIC)   # dg[c, a, b] = d_c g_ab
+    s = np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - dg
+    return 0.5 * np.einsum("ad,dbc->abc", np.linalg.inv(g), s)
+
+
+def test_fs_christoffel_is_symmetric():
+    fs = fubini_study_chart()
+    for p in POINTS:
+        gamma = fs.christoffel_at(p)
+        assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() <= 1e-14
+
+
+def _real_block_chart() -> KahlerChart:
+    # a chart may hand back a real array for a real Hermitian block
+    cp1 = _cp1_x_c3_chart()
+    return KahlerChart(name="cp1-x-c3-real", potential=cp1.potential,
+                       hermitian=lambda p: cp1.hermitian(p).real)
+
+
+@pytest.mark.parametrize("make_chart", [fubini_study_chart, _cp1_x_c3_chart, _quartic_chart,
+                                        _real_block_chart])
+def test_christoffel_matches_the_real_metric_formula(make_chart):
+    chart = make_chart()
+    for p in POINTS:
+        want = _christoffel_from_real_metric(chart, p)
+        assert np.abs(chart.christoffel_at(p) - want).max() <= 2e-8
 
 
 def test_fs_kahler_form_is_closed():
@@ -150,20 +216,8 @@ def test_fs_einstein_scale_dependence():
 
 
 def test_einstein_constant_is_a_least_squares_fit():
-    # CP^1 x C^3: rho = 2 omega on the first factor and 0 on the rest, so the
-    # fit over all entries is 2 / 4, not the first factor's ratio 2
-    def hermitian(p):
-        h = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
-        h[..., 0, 0] = 1.0 / (1.0 + p[..., 0] ** 2 + p[..., 1] ** 2) ** 2
-        for k in range(1, 4):
-            h[..., k, k] = 1.0
-        return h
-
-    def potential(p):
-        return np.log1p(p[..., 0] ** 2 + p[..., 1] ** 2) + np.sum(p[..., 2:] ** 2, axis=-1)
-
-    chart = KahlerChart(name="cp1-x-c3", potential=potential, hermitian=hermitian, radius=2.0)
-    rep = einstein_report(chart, n_points=5, seed=0)
+    # the fit over all entries is 2 / 4, not the first factor's ratio 2
+    rep = einstein_report(_cp1_x_c3_chart(), n_points=5, seed=0)
     assert rep.scalar == pytest.approx(0.5, abs=1e-5)
     assert rep.max_deviation > 0.1
 

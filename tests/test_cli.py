@@ -156,6 +156,20 @@ def test_gamma_check_error_is_a_failure(tmp_path, monkeypatch):
     assert "gamma_variants_agree" in out["failed"]
 
 
+def test_theorem_iii_with_every_probe_masked_is_a_failure(tmp_path):
+    # eps = 0.002 leaves the patch Cayley at fd_step 1e-2 but not at the
+    # halved steps of Theorem III, whose tolerance shrinks as h^2
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "perturbed-real-slice", "params": {"eps": 0.002}}))
+    rc, out = _run_json(["verify-patch", "--spec", str(spec)], tmp_path)
+    assert rc == CHECK_FAILURE
+    check = next(c for c in out["checks"] if c["name"] == "theorem_iii")
+    assert check == {"name": "theorem_iii", "passed": False,
+                     "error": "every probe point was masked; nothing to verify"}
+    assert "theorem_iii" in out["failed"]
+    assert out["all_passed"] is False
+
+
 def test_verify_patch_tight_tolerance_fails(tmp_path):
     rc, out = _run_json(
         ["verify-patch", "--name", "product-torus", "--tol", "1e-16"], tmp_path)

@@ -273,6 +273,20 @@ def test_theorem_ii_guards():
     assert rep2.failed_precondition == "pointwise_cayley"
 
 
+@pytest.mark.parametrize("verify, name", [(verify_theorem_i, "complex-graph"),
+                                          (verify_theorem_i, "product-torus"),
+                                          (verify_theorem_ii, "fs-complex-slice"),
+                                          (verify_theorem_ii, "fs-lagrangian-torus")])
+def test_theorem_report_argument_gives_the_same_result(verify, name):
+    p = builtin_patch(name)
+    probes = p.probe_points(per_axis=2, shrink=0.5)
+    rep = point_report(p, probes, want_gamma=False)
+    assert verify(p, probes, report=rep).to_json() == verify(p, probes).to_json()
+    assert verify(p, report=rep).to_json() == verify(p, probes).to_json()
+    with pytest.raises(ValueError, match="not the PointReport"):
+        verify(p, probes[:8], report=rep)
+
+
 @pytest.mark.parametrize("name", ["product-torus", "lagrangian-graph"])
 def test_theorem_iii_flat_families_hit_floor(name):
     p = builtin_patch(name)
