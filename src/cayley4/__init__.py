@@ -43,7 +43,6 @@ from .planes import (
     canonical_form,
     cayley_basis,
     is_cayley,
-    kahler_angles,
     normalize_angle_pair,
     omega_xi,
     random_unitary_basis,

@@ -27,6 +27,9 @@ A: their norms are rotation invariant, and on the normal form they are
 cos(theta1) + cos(theta2) and cos(theta1) - cos(theta2), both >= 0.
 The round-trip tests pin this down.
 
+The same split gives the canonical frame in closed form, and the angles
+are atan2(sin, cos) with the sines read off the normal parts of J.
+
 A plane is Cayley when theta1 = theta2; the common cosine is written
 lambda.  Equivalent characterizations (restriction of omega self-dual;
 B^2 = -lambda^2 id for the tangential part B of J) are implemented as
@@ -65,7 +68,6 @@ __all__ = [
     "PartiallyComplexError",
     "NotCayleyError",
     "b_operator",
-    "kahler_angles",
     "canonical_form",
     "is_cayley",
     "cayley_basis",
@@ -137,9 +139,6 @@ class AngleReport:
     degenerate_factors: tuple[bool, bool] = (False, False)
     degenerate_spectrum: bool = False
 
-    def cosines(self) -> tuple[float, float]:
-        return float(np.cos(self.theta1)), float(np.cos(self.theta2))
-
     def to_json(self) -> dict:
         out = {
             "theta1": self.theta1,
@@ -186,38 +185,65 @@ def _complete_orthonormal(known: list[np.ndarray], pool: np.ndarray,
     return out
 
 
-def _canonical_pairs(a: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Rotate a skew 4x4 form to c1*e^12 + c2*e^34 with c1 = sigma1 >= |c2|.
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Self-dual and anti-self-dual parts u + v and u - v of skew forms (..., 4, 4)."""
+    u = a[..., 0, 1:]                              # (A01, A02, A03)
+    v = a[..., [2, 3, 1], [3, 1, 2]]               # (A23, A31, A12)
+    return u + v, u - v
 
-    Returns (r, c1, c2) with r in SO(4), columns holding the new frame in
-    old-frame coordinates, and r.T @ a @ r in the canonical shape.  Ties
-    sigma1 = sigma2 are resolved by an arbitrary invariant splitting.
+
+def _unit_structure(x: np.ndarray, part: int) -> np.ndarray:
+    """Unit complex structure along the part x of _split: u = x / |x| and v = u
+    (part 0, self-dual) or v = -u (part 1, anti-self-dual).  A part at or
+    below SIGMA_FLOOR takes the first axis as its direction."""
+    n = np.linalg.norm(x)
+    x = x / n if n > SIGMA_FLOOR else np.array([1.0, 0.0, 0.0])
+    y = -x if part else x
+    return np.array([[0.0, x[0], x[1], x[2]],
+                     [-x[0], 0.0, y[2], -y[1]],
+                     [-x[1], -y[2], 0.0, y[0]],
+                     [-x[2], y[1], -y[0], 0.0]])
+
+
+def _normal_gram(frame: np.ndarray) -> np.ndarray:
+    """Gram matrix of the normal parts of J on a plane, J f_i minus its
+    projection onto the plane.  Formed from those vectors, not as I + A^2, so
+    that a small sine keeps its relative precision."""
+    jf = frame @ standard_structure().j.T
+    n = jf - (jf @ frame.T) @ frame
+    return n @ n.T
+
+
+def _canonical_rotation(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """r in SO(4) with r.T @ a @ r = c1 e^12 + c2 e^34, (c1, c2) as
+    batch_kahler_cosines gives them, for a restricted Kaehler form a and the
+    _normal_gram g in the same frame; r = I at a = 0.
+
+    a = (|u + v| M+ + |u - v| M-) / 2 with unit complex structures M+ and M-
+    of either duality.  They commute, so M+ M- is a symmetric involution; on
+    its -1 eigenplane a = c1 M+, on its +1 eigenplane a = c2 M+.  Each plane
+    gets the normalized longest column of its projector and its image under
+    -M+.  A part at or below SIGMA_FLOOR leaves c1 = +-c2, but near a complex
+    factor the sines can still differ: the traceless part of g is
+    (s2^2 - s1^2) / 2 M+ M-, so that part's direction is read from -M g, M the
+    other part's structure, unless that is below the floor too.
     """
-    evals, vecs = np.linalg.eigh(-a @ a)          # ascending sigma^2 pairs
-    s1 = float(np.sqrt(max(evals[3], 0.0)))
-    s2 = float(np.sqrt(max(evals[0], 0.0)))
-    if s1 <= SIGMA_FLOOR:
-        return np.eye(4), 0.0, 0.0
-
-    v = vecs[:, 3]
-    av = a @ v
-    p1 = av / np.linalg.norm(av)
-    p2 = v                                        # omega(p1, p2) = +sigma1
-    rest = _complete_orthonormal([p1, p2], vecs[:, ::-1].T)
-    q = rest[2]
-    aq = a @ q
-    if np.linalg.norm(aq) <= SIGMA_FLOOR:
-        q1, q2 = q, rest[3]
-        c2 = 0.0
-    else:
-        q1 = aq / np.linalg.norm(aq)
-        q2 = q                                    # omega(q1, q2) = +sigma2
-        c2 = s2
-    r = np.column_stack([p1, p2, q1, q2])
-    if np.linalg.det(r) < 0:
-        r[:, 3] = -r[:, 3]
-        c2 = -c2
-    return r, s1, c2
+    parts = list(_split(a))
+    small = int(np.linalg.norm(parts[1]) <= np.linalg.norm(parts[0]))
+    if np.linalg.norm(parts[small]) <= SIGMA_FLOOR:
+        m_big = _unit_structure(parts[1 - small], 1 - small)
+        x = _split(-m_big @ (g - 0.25 * np.trace(g) * np.eye(4)))[small]
+        n = np.linalg.norm(x)
+        if n > SIGMA_FLOOR * np.sqrt(np.trace(g)):
+            parts[small] = x / n
+    m_plus = _unit_structure(parts[0], 0)
+    q = m_plus @ _unit_structure(parts[1], 1)
+    r = np.empty((4, 4))
+    for k, proj in ((0, 0.5 * (np.eye(4) - q)), (2, 0.5 * (np.eye(4) + q))):
+        col = proj[:, np.argmax(np.diagonal(proj))]    # |P e_i|^2 = P_ii
+        r[:, k] = col / np.linalg.norm(col)
+        r[:, k + 1] = -m_plus @ r[:, k]
+    return r
 
 
 def normalize_angle_pair(theta1: float, theta2: float) -> tuple[float, float]:
@@ -242,32 +268,6 @@ def _classify(theta1: float, theta2: float) -> Classification:
     return "totally_real_non_cayley"
 
 
-def _angles_from_cosines(c1: float, c2: float) -> tuple[float, float]:
-    t1 = float(np.arccos(np.clip(c1, -1.0, 1.0)))
-    t2 = float(np.arccos(np.clip(c2, -1.0, 1.0)))
-    return t1, t2
-
-
-def _angle_report(c1: float, c2: float, **basis) -> AngleReport:
-    """Report for the canonical cosines; `basis` carries canonical_form's fields."""
-    t1, t2 = _angles_from_cosines(c1, c2)
-    lam = 0.5 * (c1 + c2) if abs(t1 - t2) <= CAYLEY_TOL else None
-    return AngleReport(
-        theta1=t1,
-        theta2=t2,
-        classification=_classify(t1, t2),
-        lam=None if lam is None else float(np.clip(lam, 0.0, 1.0)),
-        degenerate_spectrum=bool(abs(c1 - abs(c2)) <= 1e-9),
-        **basis,
-    )
-
-
-def kahler_angles(plane: OrientedPlane4) -> AngleReport:
-    """Angle extraction without the canonical basis (cheap path)."""
-    c1, c2 = batch_kahler_cosines(plane.frame[None])
-    return _angle_report(float(c1[0]), float(c2[0]))
-
-
 def _unitary_gram_dev(u: np.ndarray) -> float:
     """Deviation of a real 4x8 row set from being a unitary C^4 basis."""
     z = complexify(u)
@@ -277,53 +277,59 @@ def _unitary_gram_dev(u: np.ndarray) -> float:
 def canonical_form(plane: OrientedPlane4) -> AngleReport:
     """Full canonical data: angles, in-plane canonical frame, unitary basis.
 
-    Degenerate (complex) factors get an arbitrary unitary completion and a
-    flag; rebuilding the plane from the returned data reproduces the input
-    blade either way.
+    The cosines are those of batch_kahler_cosines and the sines the norms of
+    the normal parts of the canonical frame, so theta = atan2(sin, cos) is
+    exact at both ends.  Degenerate (complex) factors get an arbitrary
+    unitary completion and a flag; rebuilding the plane from the returned
+    data reproduces the input blade either way.
     """
     st = standard_structure()
-    a = _omega_restriction(plane)
-    r, c1, c2 = _canonical_pairs(a)
-    t1, t2 = _angles_from_cosines(c1, c2)
+    c1, c2 = (float(c[0]) for c in batch_kahler_cosines(plane.frame[None]))
+    r = _canonical_rotation(_omega_restriction(plane), _normal_gram(plane.frame))
     p = r.T @ plane.frame                          # canonical tangent vectors
-    s1, s2 = np.sin(t1), np.sin(t2)
+    w2 = p[1] - c1 * (st.j @ p[0])                 # sin(theta1) u2
+    w4 = p[3] - c2 * (st.j @ p[2])                 # sin(theta2) u4
+    s1, s2 = float(np.linalg.norm(w2)), float(np.linalg.norm(w4))
+    t1, t2 = float(np.arctan2(s1, c1)), float(np.arctan2(s2, c2))
 
-    deg1 = bool(s1 <= DEGENERATE_SIN)
-    deg2 = bool(s2 <= DEGENERATE_SIN)
+    deg1 = bool(np.sin(t1) <= DEGENERATE_SIN)
+    deg2 = bool(np.sin(t2) <= DEGENERATE_SIN)
 
-    u1 = p[0]
-    u3 = p[2]
-    known: list[np.ndarray] = [u1, u3]
-    u2 = None if deg1 else (p[1] - c1 * (st.j @ p[0])) / s1
-    u4 = None if deg2 else (p[3] - c2 * (st.j @ p[2])) / s2
-    if u2 is not None:
-        known.insert(1, u2)
-    if u4 is not None:
-        known.append(u4)
-
+    u1, u3 = p[0], p[2]
+    u2 = None if deg1 else w2 / s1
+    u4 = None if deg2 else w4 / s2
     if deg1 or deg2:
-        known_z = [complexify(v) for v in known]
-        filled = _complete_orthonormal(known_z, np.eye(4, dtype=complex))
-        extras = [realify(z) for z in filled[len(known_z):]]
-        if u2 is None:
-            u2 = extras.pop(0)
-        if u4 is None:
-            u4 = extras.pop(0)
+        known = [complexify(v) for v in (u1, u2, u3, u4) if v is not None]
+        filled = _complete_orthonormal(known, np.eye(4, dtype=complex))
+        extras = [realify(z) for z in filled[len(known):]]
+        u2 = extras.pop(0) if deg1 else u2
+        u4 = extras.pop(0) if deg2 else u4
 
     u = np.vstack([u1, u2, u3, u4])
     dev = _unitary_gram_dev(u)
     if dev > 1e-12:
         # tiny sin(theta) amplifies rounding in the u2/u4 quotients; a
         # hermitian re-orthonormalization costs O(dev) which the rebuild
-        # multiplies back down by sin(theta); every row is kept, as near
-        # complex planes leave residuals below the completion threshold
-        u = realify(_complete_orthonormal([], complexify(u), min_norm=0.0))
+        # multiplies back down by sin(theta) if the plane's own u1, u3 go
+        # first; every row is kept, as near complex planes leave residuals
+        # below the completion threshold
+        order = [0, 2, 1, 3]                       # its own inverse
+        u = realify(_complete_orthonormal([], complexify(u[order]), min_norm=0.0))[order]
         dev = _unitary_gram_dev(u)
     if dev > 1e-9:
         raise RuntimeError(f"canonical basis failed unitarity check: {dev:.3e}")
 
-    return _angle_report(c1, c2, unitary_basis=u, canonical_tangent_frame=p,
-                         degenerate_factors=(deg1, deg2))
+    return AngleReport(
+        theta1=t1,
+        theta2=t2,
+        classification=_classify(t1, t2),
+        lam=(float(np.clip(0.5 * (c1 + c2), 0.0, 1.0))
+             if abs(t1 - t2) <= CAYLEY_TOL else None),
+        unitary_basis=u,
+        canonical_tangent_frame=p,
+        degenerate_factors=(deg1, deg2),
+        degenerate_spectrum=bool(abs(c1 - abs(c2)) <= 1e-9),
+    )
 
 
 def build_plane(unitary_basis: np.ndarray, theta1: float, theta2: float) -> OrientedPlane4:
@@ -369,26 +375,17 @@ def is_cayley(plane: OrientedPlane4) -> tuple[bool, float | None]:
 def cayley_basis(plane: OrientedPlane4) -> np.ndarray:
     """Frame (e1, j e1, e3, j e3) adapted to a Cayley plane, j = B / lambda.
 
-    For lambda = 0 every orthonormal frame qualifies and the input frame is
-    returned unchanged.  Non-Cayley planes are rejected.
+    This is the canonical frame of the self-dual split (_canonical_rotation),
+    a deterministic function of the plane's frame.  For lambda = 0, where the
+    restricted Kaehler form vanishes to rounding, the rotation is the
+    identity and the input frame comes back unchanged.  Non-Cayley planes
+    are rejected.
     """
-    ok, lam = is_cayley(plane)
+    ok, _ = is_cayley(plane)
     if not ok:
         raise NotCayleyError("cayley_basis needs a Cayley plane")
-    if lam <= CAYLEY_TOL:
-        return plane.frame.copy()
-    jmat = b_operator(plane).matrix / lam          # frame-coordinate j, j^2 = -id
-    f = plane.frame
-    e1c = np.array([1.0, 0.0, 0.0, 0.0])
-    e2c = jmat @ e1c
-    # the other three axes carry squared residual 2 in total, so one of
-    # them always clears the completion threshold
-    e3c = _complete_orthonormal([e1c, e2c], np.eye(4)[1:])[2]
-    e4c = jmat @ e3c
-    coords = np.column_stack([e1c, e2c, e3c, e4c])
-    if np.linalg.det(coords) < 0:  # pragma: no cover - Pf(j) = +1 forbids this
-        raise RuntimeError("Cayley frame came out negatively oriented")
-    return coords.T @ f
+    r = _canonical_rotation(_omega_restriction(plane), _normal_gram(plane.frame))
+    return r.T @ plane.frame
 
 
 def unitary_gauge(frame: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
@@ -455,9 +452,6 @@ def batch_kahler_cosines(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     anti-self-dual norm |u - v| is the Cayley defect cos(theta1) -
     cos(theta2) itself, so a tiny angle gap is resolved to full precision.
     """
-    a = restrict_matrix(standard_structure().omega_mat, frames)
-    u = a[..., 0, 1:]                              # (A01, A02, A03)
-    v = a[..., [2, 3, 1], [3, 1, 2]]               # (A23, A31, A12)
-    sd = np.linalg.norm(u + v, axis=-1)
-    asd = np.linalg.norm(u - v, axis=-1)
+    sd, asd = _split(restrict_matrix(standard_structure().omega_mat, frames))
+    sd, asd = np.linalg.norm(sd, axis=-1), np.linalg.norm(asd, axis=-1)
     return 0.5 * (sd + asd), 0.5 * (sd - asd)

@@ -6,13 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cayley4.multilinear import blade_distance
+from cayley4.hermitian import standard_structure
+from cayley4.multilinear import blade_distance, restrict_matrix
 from cayley4.patches import (
     BUILTIN_PATCHES,
     CHUNK,
     Patch,
     RankError,
     UnitaryFrameField,
+    _point_geometry,
     builtin_patch,
     coclosure_residual,
     gamma_form,
@@ -26,6 +28,7 @@ from cayley4.patches import (
     verify_theorem_ii,
     verify_theorem_iii,
 )
+from cayley4.planes import _canonical_rotation, _normal_gram
 
 T0 = np.array([0.12, -0.2, 0.25, 0.05])
 MIXED_RADII = [1.0, 0.8, 1.3, 0.6]
@@ -477,6 +480,23 @@ def test_cayley_frame_stack_matches_single_targets(name, params):
     for k, t in enumerate(targets.reshape(-1, 4)):
         np.testing.assert_array_equal(stack.reshape(-1, 4, 8)[k], ff.cayley_frame(t))
     np.testing.assert_array_equal(stack[0, 0], ff._seed)
+
+
+def test_seed_rotation_is_stable_at_a_near_lagrangian_anchor():
+    # lambda = 8.6e-7 at the fs-lagrangian-torus anchor: both parts of the
+    # self-dual split are small, yet their directions are defined, so
+    # last-bit changes of the restricted Kaehler form barely move the frame
+    p = builtin_patch("fs-lagrangian-torus")
+    anchor = 0.5 * (p.box[:, 0] + p.box[:, 1])
+    frame = _point_geometry(p, anchor, p.fd_step).model_frame
+    a = restrict_matrix(standard_structure().omega_mat, frame)
+    g = _normal_gram(frame)
+    r = _canonical_rotation(a, g)
+    rng = np.random.default_rng(0)
+    for ulps in [np.full((4, 4), 2), np.full((4, 4), -2)] + [
+            rng.integers(-2, 3, size=(4, 4)) for _ in range(8)]:
+        moved = _canonical_rotation(a + ulps * np.spacing(a), g)
+        assert np.max(np.abs(moved - r)) <= 1e-12
 
 
 @pytest.mark.parametrize("name, params", [("lagrangian-graph", {}),

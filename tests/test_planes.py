@@ -18,7 +18,6 @@ from cayley4 import (
     cayley_basis,
     haar_frames,
     is_cayley,
-    kahler_angles,
     normalize_angle_pair,
     omega_xi,
     realify,
@@ -26,8 +25,8 @@ from cayley4 import (
     unitary_from_cayley,
 )
 from cayley4.hermitian import wirtinger_values
-from cayley4.multilinear import OrientedPlane4
-from cayley4.planes import random_unitary_basis
+from cayley4.multilinear import OrientedPlane4, restrict_matrix
+from cayley4.planes import _canonical_rotation, _normal_gram, random_unitary_basis
 
 
 def _real_axes():
@@ -94,7 +93,7 @@ def test_round_trip_recovers_prescribed_angles():
         u = random_unitary_basis(rng)
         t1, t2 = np.sort(rng.uniform(0.1, np.pi / 2 - 0.05, size=2))
         pl = build_plane(u, t1, t2)
-        rep = kahler_angles(pl)
+        rep = canonical_form(pl)
         want = normalize_angle_pair(t1, t2)
         assert rep.theta1 == pytest.approx(want[0], abs=1e-9)
         assert rep.theta2 == pytest.approx(want[1], abs=1e-9)
@@ -135,6 +134,9 @@ def test_cayley_basis_adapted_to_b():
         lam = np.cos(theta)
         assert (st_.j @ cb[0]) @ cb[1] == pytest.approx(lam, abs=1e-10)
         assert (st_.j @ cb[2]) @ cb[3] == pytest.approx(lam, abs=1e-10)
+    # lambda = 0: every orthonormal frame is adapted, and the input comes back
+    lagrangian = build_plane(random_unitary_basis(rng), np.pi / 2, np.pi / 2)
+    np.testing.assert_array_equal(cayley_basis(lagrangian), lagrangian.frame)
 
 
 def test_unitary_from_cayley_round_trip():
@@ -269,6 +271,64 @@ def test_split_cosines_resolve_a_tiny_angle_gap(theta):
     c1, c2 = batch_kahler_cosines(build_plane(u, theta, theta + gap).frame[None])
     assert np.arccos(c2[0]) - np.arccos(c1[0]) == pytest.approx(gap, rel=0.01)
     assert c1[0] - c2[0] == pytest.approx(np.sin(theta) * gap, rel=0.01)
+
+
+def test_canonical_rotation_brings_every_form_to_normal_shape():
+    # r in SO(4) and r.T a r = c1 e^12 + c2 e^34 with the split cosines, also
+    # on the complex, Lagrangian, anti-self-dual and zero special planes
+    frames = _haar_and_special_frames()
+    c1, c2 = batch_kahler_cosines(frames)
+    forms = restrict_matrix(standard_structure().omega_mat, frames)
+    for k, a in enumerate(forms):
+        r = _canonical_rotation(a, _normal_gram(frames[k]))
+        assert np.max(np.abs(r.T @ r - np.eye(4))) <= 1e-14
+        assert np.linalg.det(r) > 0
+        want = np.zeros((4, 4))
+        want[0, 1], want[2, 3] = c1[k], c2[k]
+        assert np.max(np.abs(r.T @ a @ r - (want - want.T))) <= 1e-14
+    np.testing.assert_array_equal(_canonical_rotation(forms[-1], _normal_gram(frames[-1])),
+                                  np.eye(4))
+
+
+def test_exactly_complex_planes_are_complex():
+    # theta = atan2(sin, cos) with the sine from the normal part: a cosine
+    # within rounding of 1 still gives theta at rounding level, not sqrt(eps)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        u = random_unitary_basis(rng)
+        theta = rng.uniform(0.05, np.pi - 0.05)
+        for angles, want in (((0.0, 0.0), "complex"), ((0.0, theta), "partially_complex")):
+            pl = build_plane(u, *angles)
+            rep = canonical_form(pl)
+            assert rep.classification == want
+            assert rep.degenerate_factors == (True, want == "complex")
+            rebuilt = build_plane(rep.unitary_basis, rep.theta1, rep.theta2)
+            assert blade_distance(pl, rebuilt) <= 1e-12
+    rep = canonical_form(build_plane(u, np.pi / 2, np.pi / 2))
+    assert rep.classification == "lagrangian"
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_tiny_and_near_anti_complex_angles_rebuild(k):
+    # small sines amplify rounding in u2 = w2 / sin(theta1), and near a
+    # complex factor c1 = +-c2 to rounding, so the normal parts must split
+    # the plane; each plane is checked in its built frame, which is already
+    # canonical, and in a random oriented frame of the same plane
+    rng = np.random.default_rng(k)
+    delta = 10.0 ** -k
+    for _ in range(20):
+        u = random_unitary_basis(rng)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        q[:, 0] *= np.sign(np.linalg.det(q))
+        for angles in ((delta, delta), (delta, 2 * delta), (0.0, np.pi - delta),
+                       (delta, np.pi - 2 * delta)):
+            pl = build_plane(u, *angles)
+            for plane in (pl, OrientedPlane4(q.T @ pl.frame)):
+                rep = canonical_form(plane)
+                assert rep.theta1 == pytest.approx(angles[0], abs=1e-9)
+                assert rep.theta2 == pytest.approx(angles[1], abs=1e-9)
+                rebuilt = build_plane(rep.unitary_basis, rep.theta1, rep.theta2)
+                assert blade_distance(plane, rebuilt) <= 1e-7
 
 
 def test_lambda_continuity_near_complex():
