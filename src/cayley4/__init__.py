@@ -52,7 +52,6 @@ from .ambient import (
     ChartDomainError,
     EinsteinReport,
     KahlerChart,
-    covariant_derivative,
     einstein_report,
     flat_chart,
     fubini_study_chart,

@@ -47,7 +47,6 @@ __all__ = [
     "EinsteinReport",
     "flat_chart",
     "fubini_study_chart",
-    "covariant_derivative",
     "einstein_report",
 ]
 
@@ -204,18 +203,6 @@ def fubini_study_chart(scale: float = 1.0) -> KahlerChart:
 
     return KahlerChart(name="fubini-study", potential=potential,
                        hermitian=hermitian, radius=FS_RADIUS)
-
-
-def covariant_derivative(chart: KahlerChart, curve: Callable[[float], np.ndarray],
-                         field: Callable[[float], np.ndarray], t: float) -> np.ndarray:
-    """Levi-Civita derivative of a vector field along a curve at parameter t."""
-    step = H_METRIC
-    p = np.asarray(curve(t), dtype=float)
-    v = np.asarray(field(t), dtype=float)
-    dv = (np.asarray(field(t + step)) - np.asarray(field(t - step))) / (2.0 * step)
-    dp = (np.asarray(curve(t + step)) - np.asarray(curve(t - step))) / (2.0 * step)
-    gamma = chart.christoffel_at(p)
-    return dv + np.einsum("abc,b,c->a", gamma, dp, v)
 
 
 def einstein_report(chart: KahlerChart, n_points: int = 100, seed: int = 0) -> EinsteinReport:

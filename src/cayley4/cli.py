@@ -202,7 +202,7 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
     checks: list[dict] = []
     flat = patch.chart.name == "flat"
     probes = patch.probe_points(per_axis=2, shrink=0.5)
-    rep = patches.point_report(patch, probes, want_gamma=False)
+    rep = patches.point_report(patch, probes)
     cayley_tol = patches.default_cayley_tol(patch.fd_step)
     all_cayley = bool(np.all(rep.cayley_dev <= cayley_tol))
     all_real = bool(np.all(rep.lam <= 1.0 - patches.LAMBDA_GUARD))
@@ -244,7 +244,7 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
             checks.append({"name": "theorem_iii", "passed": False, "error": str(exc)})
 
     if flat and all_cayley:
-        rep1 = patches.verify_theorem_i(patch, points=probes, report=rep)
+        rep1 = patches.verify_theorem_i(patch, report=rep)
         if rep1.minimal:
             ok = (rep1.branch == "complex_all_alpha"
                   or (rep1.calibration_defect is not None
@@ -254,7 +254,7 @@ def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
         checks.append({"name": "theorem_i", "passed": bool(ok), **rep1.to_json()})
 
     if not flat:
-        rep2 = patches.verify_theorem_ii(patch, points=probes, report=rep)
+        rep2 = patches.verify_theorem_ii(patch, report=rep)
         if rep2.preconditions_met:
             ok = rep2.branch in ("complex", "lagrangian")
             note = None

@@ -17,9 +17,12 @@ the submanifold identities for h, the identity d(gamma) = rho restricted
 to the patch, the calibrated/minimal dichotomies, and the quadrature
 identity int lambda^2 dvol = (1/2) int omega^2.
 
-Point routines work on stacks of points, and a single point is a batch
-of one; only verify_h_symmetry, coclosure_residual and tangent_plane_at
-take a single point.  A patch map takes parameter points (..., 4) to
+Patch results are stacks: point_report and gamma_form take points (N, 4)
+and every field of their results leads with N, so one point is a stack
+of one; only verify_h_symmetry, coclosure_residual and tangent_plane_at,
+whose results are a single plane or scalars, take a single point (4,).
+Theorems I and II read one PointReport, over the grid unless the caller
+passes one.  A patch map takes parameter points (..., 4) to
 chart points (..., 8) (Patch.evaluate rejects any other output shape); a
 derivative stencil calls it once on all of its points, and grid-wide
 checks run CHUNK points per batch to bound memory.  gamma_form computes
@@ -43,7 +46,7 @@ written as null in JSON reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -270,43 +273,35 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
 
 @dataclass(frozen=True)
 class PointReport:
-    """Report at one parameter point, or at a stack of them.
+    """Report at a stack of N parameter points; every field leads with N.
 
-    For t of shape (4,) the scalars are floats, tangent_plane is an
-    OrientedPlane4 and gamma is None where undefined.  For t of shape
-    (N, 4) every field gains a leading axis of length N: tangent_plane is
-    the (N, 4, 8) stack of model frames and gamma an (N, 4) array whose
-    undefined rows are NaN.
+    tangent_plane is the (N, 4, 8) stack of model frames and gamma an (N, 4)
+    array whose undefined rows are NaN.
     """
     t: np.ndarray
     point: np.ndarray
-    tangent_plane: OrientedPlane4 | np.ndarray   # in the unitary ambient frame
+    tangent_plane: np.ndarray              # in the unitary ambient frame
     frame_chart: np.ndarray
-    cos1: float | np.ndarray
-    cos2: float | np.ndarray
-    lam: float | np.ndarray
-    cayley_dev: float | np.ndarray
-    h_tensor: np.ndarray                   # (..., 4, 4, 8), frame arguments, chart values
+    cos1: np.ndarray
+    cos2: np.ndarray
+    lam: np.ndarray
+    cayley_dev: np.ndarray
+    h_tensor: np.ndarray                   # (N, 4, 4, 8), frame arguments, chart values
     mean_curvature: np.ndarray
-    mean_curvature_norm: float | np.ndarray
-    h_symmetry_dev: float | np.ndarray
-    gamma: np.ndarray | None               # parameter coframe, variant A
+    mean_curvature_norm: np.ndarray
+    h_symmetry_dev: np.ndarray
+    gamma: np.ndarray                      # parameter coframe, variant A
 
     def to_json(self) -> dict:
-        gamma = None
-        if self.gamma is not None:
-            gamma = [None if np.isnan(row).any() else row.tolist()
-                     for row in np.atleast_2d(self.gamma)]
-            gamma = gamma if self.t.ndim == 2 else gamma[0]
         return {
             "t": self.t.tolist(),
             "point": self.point.tolist(),
-            "cos_theta1": np.asarray(self.cos1).tolist(),
-            "cos_theta2": np.asarray(self.cos2).tolist(),
-            "lambda": np.asarray(self.lam).tolist(),
-            "cayley_deviation": np.asarray(self.cayley_dev).tolist(),
-            "mean_curvature_norm": np.asarray(self.mean_curvature_norm).tolist(),
-            "gamma": gamma,
+            "cos_theta1": self.cos1.tolist(),
+            "cos_theta2": self.cos2.tolist(),
+            "lambda": self.lam.tolist(),
+            "cayley_deviation": self.cayley_dev.tolist(),
+            "mean_curvature_norm": self.mean_curvature_norm.tolist(),
+            "gamma": [None if np.isnan(row).any() else row.tolist() for row in self.gamma],
         }
 
 
@@ -346,49 +341,40 @@ def tangent_plane_at(patch: Patch, t: np.ndarray) -> OrientedPlane4:
     return OrientedPlane4(geo.model_frame)
 
 
-def _report_fields(patch: Patch, t: np.ndarray, want_gamma: bool) -> dict:
+def _stack_of_points(t: np.ndarray) -> np.ndarray:
+    """t as a float stack (N, 4) with N >= 1; any other shape is a ValueError."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 2 or t.shape[1] != 4 or len(t) == 0:
+        raise ValueError(f"t must be a stack of points (N, 4) with N >= 1, got shape {t.shape}")
+    return t
+
+
+def _report_fields(patch: Patch, t: np.ndarray) -> dict:
     """PointReport fields, each with a leading axis, at a stack t (n, 4)."""
     geo = _point_geometry(patch, t, patch.fd_step, second=True)
     h_frame = _second_fundamental(patch, geo)[0]
     mean = _mean(h_frame)
-    gamma = _gamma_a(geo, mean) if want_gamma else None
     return dict(
         t=geo.t, point=geo.p, tangent_plane=geo.model_frame, frame_chart=geo.frame,
         cos1=geo.cos1, cos2=geo.cos2, lam=geo.lam, cayley_dev=geo.cayley_dev,
         h_tensor=h_frame, mean_curvature=mean,
         mean_curvature_norm=np.sqrt(np.einsum("na,nab,nb->n", mean, geo.g, mean)),
         h_symmetry_dev=np.max(np.abs(h_frame - h_frame.transpose(0, 2, 1, 3)), axis=(1, 2, 3)),
-        gamma=gamma,
+        gamma=_gamma_a(geo, mean),
     )
 
 
-def point_report(patch: Patch, t: np.ndarray, want_gamma: bool = True) -> PointReport:
-    """Tangent plane, angles and second fundamental form at parameter points.
-
-    t is one point (4,) or a stack (N, 4); a single point is a batch of
-    one, and stacks are computed CHUNK points at a time (see PointReport).
-    """
-    t = np.asarray(t, dtype=float)
-    if t.ndim not in (1, 2) or t.shape[-1] != 4 or t.size == 0:
-        raise ValueError(f"t must be a point (4,) or a stack (N, 4), got shape {t.shape}")
-    pts = np.atleast_2d(t)
+def point_report(patch: Patch, t: np.ndarray) -> PointReport:
+    """Tangent plane, angles, second fundamental form and variant-A gamma at
+    a stack of parameter points t (N, 4), computed CHUNK points at a time."""
+    t = _stack_of_points(t)
     f: dict = {}
-    for start in range(0, len(pts), CHUNK):
-        part = _report_fields(patch, pts[start:start + CHUNK], want_gamma)
-        for k, v in part.items():
+    for start in range(0, len(t), CHUNK):
+        for k, v in _report_fields(patch, t[start:start + CHUNK]).items():
             if k not in f:
-                f[k] = None if v is None else np.empty((len(pts),) + v.shape[1:])
-            if v is not None:
-                f[k][start:start + CHUNK] = v
-    if t.ndim == 2:
-        require_orthonormal(f["tangent_plane"])
-        return PointReport(**f)
-    f = {k: None if v is None else v[0] for k, v in f.items()}
-    for k in ("cos1", "cos2", "lam", "cayley_dev", "mean_curvature_norm", "h_symmetry_dev"):
-        f[k] = float(f[k])
-    f["tangent_plane"] = OrientedPlane4(f["tangent_plane"])
-    if f["gamma"] is not None and np.isnan(f["gamma"]).any():
-        f["gamma"] = None
+                f[k] = np.empty((len(t),) + v.shape[1:])
+            f[k][start:start + CHUNK] = v
+    require_orthonormal(f["tangent_plane"])
     return PointReport(**f)
 
 
@@ -506,29 +492,28 @@ class UnitaryFrameField:
 
 
 def gamma_form(patch: Patch, t: np.ndarray, gauge: float = 0.0) -> dict:
-    """Both routes to gamma at parameter points t (4,) or (..., 4), in the
+    """Both routes to gamma at a stack of parameter points t (N, 4), in the
     parameter coframe.
 
     Variant A is omega(., H) / (lambda^2 - 1); variant B differentiates the
     unitary frame of a UnitaryFrameField with the given gauge.  Totally
-    real Cayley points only.  gamma_a and gamma_b have the shape of t,
-    lambda its leading axes (a float for one point); max_abs_diff is the
-    largest gap over all points.  Each point moves 9 transport targets
-    (its frame stencil), so points run CHUNK // 9 at a time.
+    real Cayley points only.  gamma_a and gamma_b are (N, 4), lambda (N,);
+    max_abs_diff is the largest gap over all points.  Each point moves 9
+    transport targets (its frame stencil), so points run CHUNK // 9 at a
+    time.
     """
-    t = np.asarray(t, dtype=float)
-    pts = t.reshape(-1, 4)
-    gamma_a, gamma_b, lam = np.empty_like(pts), np.empty_like(pts), np.empty(len(pts))
+    t = _stack_of_points(t)
+    gamma_a, gamma_b, lam = np.empty_like(t), np.empty_like(t), np.empty(len(t))
     field = None
-    for start in range(0, len(pts), CHUNK // 9):
+    for start in range(0, len(t), CHUNK // 9):
         part = slice(start, start + CHUNK // 9)
-        geo = _point_geometry(patch, pts[part], patch.fd_step, second=True)
+        geo = _point_geometry(patch, t[part], patch.fd_step, second=True)
         h_frame, _, _, gamma_chr = _second_fundamental(patch, geo)
         gamma_a[part] = _gamma_a(geo, _mean(h_frame))
         if np.isnan(gamma_a[part]).any():
             raise ValueError("gamma needs lambda bounded away from 1")
         field = field or UnitaryFrameField(patch, gauge)
-        u0, du = _fd.jet(field.unitary_frame, pts[part], patch.fd_step)
+        u0, du = _fd.jet(field.unitary_frame, t[part], patch.fd_step)
         ju = u0 @ standard_structure().j.T
         # nabla_{d_a} u_k = d_a u_k + Gamma(d_a F, u_k)
         nab = du + np.einsum("nxbc,nab,nkc->nakx", gamma_chr, geo.tangents, u0)
@@ -536,11 +521,10 @@ def gamma_form(patch: Patch, t: np.ndarray, gauge: float = 0.0) -> dict:
         # form along the patch; gamma is its negative
         gamma_b[part] = -np.einsum("nakx,nxy,nky->na", nab, geo.g, ju)
         lam[part] = geo.lam
-    lam = lam.reshape(t.shape[:-1])
     return {
-        "gamma_a": gamma_a.reshape(t.shape),
-        "gamma_b": gamma_b.reshape(t.shape),
-        "lambda": float(lam) if t.ndim == 1 else lam,
+        "gamma_a": gamma_a,
+        "gamma_b": gamma_b,
+        "lambda": lam,
         "max_abs_diff": float(np.max(np.abs(gamma_a - gamma_b))),
     }
 
@@ -692,7 +676,7 @@ class ConvergenceReport:
         """
         if self.final_residual > tol:
             return False
-        if self.converged_at_floor or self.final_residual <= RESIDUAL_FLOOR:
+        if self.final_residual <= RESIDUAL_FLOOR:
             return True
         return all(o >= MIN_ORDER or not math.isfinite(o) for o in self.orders)
 
@@ -766,42 +750,18 @@ class CalibrationReport:
     n_points: int
 
     def to_json(self) -> dict:
-        return {
-            "minimal": self.minimal,
-            "max_mean_curvature": self.max_mean_curvature,
-            "branch": self.branch,
-            "best_alpha": self.best_alpha,
-            "calibration_defect": self.calibration_defect,
-            "phase_deviation": self.phase_deviation,
-            "max_min_phi": self.max_min_phi,
-            "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
-def _report_at(patch: Patch, points: np.ndarray | None,
-               report: PointReport | None) -> tuple[np.ndarray, PointReport]:
-    """(points (N, 4), the PointReport there): the caller's report at the
-    points, or one computed at them (default: the whole grid)."""
-    if points is None:
-        points = patch.grid_points() if report is None else report.t
-    points = np.reshape(points, (-1, 4))
-    if report is None:
-        return points, point_report(patch, points, want_gamma=False)
-    if not np.array_equal(report.t, points):
-        raise ValueError("report is not the PointReport at the given points")
-    return points, report
-
-
-def verify_theorem_i(patch: Patch, points: np.ndarray | None = None,
-                     report: PointReport | None = None) -> CalibrationReport:
+def verify_theorem_i(patch: Patch, report: PointReport | None = None) -> CalibrationReport:
     """Calibrated/minimal dichotomy for pointwise Cayley patches (flat chart).
 
     Minimal patches must be calibrated by a single phase (complex patches by
-    every phase); non-minimal ones must fail every phase somewhere.  A
-    caller that already holds the PointReport at the points (a stack) can
-    pass it as report, which saves computing it again.
+    every phase); non-minimal ones must fail every phase somewhere.  The
+    points are those of report, the PointReport over the whole grid unless
+    the caller passes one it already holds.
     """
-    points, rep = _report_at(patch, points, report)
+    rep = point_report(patch, patch.grid_points()) if report is None else report
     hmax = float(np.max(rep.mean_curvature_norm))
     frames = rep.tangent_plane
     w = omega0_values(frames)
@@ -815,7 +775,7 @@ def verify_theorem_i(patch: Patch, points: np.ndarray | None = None,
         return CalibrationReport(
             minimal=False, max_mean_curvature=hmax, branch="not_minimal",
             best_alpha=None, calibration_defect=None, phase_deviation=None,
-            max_min_phi=max_min, n_points=len(points),
+            max_min_phi=max_min, n_points=len(rep.t),
         )
     # complex points carry no phase information (Omega vanishes on them)
     wabs = np.abs(w)
@@ -824,7 +784,7 @@ def verify_theorem_i(patch: Patch, points: np.ndarray | None = None,
         return CalibrationReport(
             minimal=True, max_mean_curvature=hmax, branch="complex_all_alpha",
             best_alpha=None, calibration_defect=defect, phase_deviation=0.0,
-            max_min_phi=None, n_points=len(points),
+            max_min_phi=None, n_points=len(rep.t),
         )
     alpha_xi = -np.angle(w)
     mean_dir = np.mean(np.exp(1j * alpha_xi))
@@ -835,7 +795,7 @@ def verify_theorem_i(patch: Patch, points: np.ndarray | None = None,
     return CalibrationReport(
         minimal=True, max_mean_curvature=hmax, branch="calibrated",
         best_alpha=alpha_star, calibration_defect=defect,
-        phase_deviation=phase_dev, max_min_phi=None, n_points=len(points),
+        phase_deviation=phase_dev, max_min_phi=None, n_points=len(rep.t),
     )
 
 
@@ -852,56 +812,45 @@ class EinsteinDichotomyReport:
     n_points: int
 
     def to_json(self) -> dict:
-        return {
-            "preconditions_met": self.preconditions_met,
-            "failed_precondition": self.failed_precondition,
-            "branch": self.branch,
-            "einstein_constant": self.einstein_constant,
-            "max_mean_curvature": self.max_mean_curvature,
-            "max_cayley_deviation": self.max_cayley_deviation,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
-def verify_theorem_ii(patch: Patch, points: np.ndarray | None = None,
-                      report: PointReport | None = None) -> EinsteinDichotomyReport:
+def verify_theorem_ii(patch: Patch, report: PointReport | None = None) -> EinsteinDichotomyReport:
     """Minimal Cayley patches of a nonflat Einstein chart must be complex
     or Lagrangian; precondition failures are reported, never asserted over.
 
     Preconditions, in order: the chart is Einstein with nonzero constant,
-    every sampled point is Cayley within tolerance, the patch is minimal.
+    every point of report is Cayley within tolerance, the patch is minimal.
     report is as in verify_theorem_i.
     """
     from .ambient import einstein_report
 
     ein = einstein_report(patch.chart, n_points=EINSTEIN_SAMPLES)
-    points, rep = _report_at(patch, points, report)
+    rep = point_report(patch, patch.grid_points()) if report is None else report
     hmax = float(np.max(rep.mean_curvature_norm))
     devmax = float(np.max(rep.cayley_dev))
     lmin, lmax = float(np.min(rep.lam)), float(np.max(rep.lam))
 
-    def report(met, failed, branch):
+    def result(met, failed, branch):
         return EinsteinDichotomyReport(
             preconditions_met=met, failed_precondition=failed, branch=branch,
             einstein_constant=ein.scalar, max_mean_curvature=hmax,
             max_cayley_deviation=devmax, lambda_min=lmin, lambda_max=lmax,
-            n_points=len(points))
+            n_points=len(rep.t))
 
     if abs(ein.scalar) < 1e-3 or ein.max_deviation > 1e-4:
-        return report(False, "einstein_chart", None)
+        return result(False, "einstein_chart", None)
     if devmax > default_cayley_tol(patch.fd_step):
-        return report(False, "pointwise_cayley", None)
+        return result(False, "pointwise_cayley", None)
     if hmax > MINIMAL_TOL:
-        return report(False, "minimal", None)
+        return result(False, "minimal", None)
     if lmax <= BRANCH_TOL:
         branch = "lagrangian"
     elif lmin >= 1.0 - BRANCH_TOL:
         branch = "complex"
     else:
         branch = "violation"
-    return report(True, None, branch)
+    return result(True, None, branch)
 
 
 def _lambda_sq_terms(patch: Patch, points: np.ndarray) -> np.ndarray:

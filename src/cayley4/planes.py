@@ -223,19 +223,22 @@ def _canonical_rotation(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     of either duality.  They commute, so M+ M- is a symmetric involution; on
     its -1 eigenplane a = c1 M+, on its +1 eigenplane a = c2 M+.  Each plane
     gets the normalized longest column of its projector and its image under
-    -M+.  A part at or below SIGMA_FLOOR leaves c1 = +-c2, but near a complex
-    factor the sines can still differ: the traceless part of g is
-    (s2^2 - s1^2) / 2 M+ M-, so that part's direction is read from -M g, M the
-    other part's structure, unless that is below the floor too.
+    -M+.  The smaller part has the direction of the same part of -M g0, for
+    g0 = (s2^2 - s1^2) / 2 M+ M- the traceless part of g and M the larger
+    part's structure, and that part of -M g0 / sqrt(tr g) is |larger part| /
+    sqrt(tr g) times as long.  Entries of a carry rounding of order eps and
+    those of g of order eps sqrt(tr g), so the direction comes from g when
+    the larger part is longer than sqrt(tr g): near a complex factor c1 =
+    +-c2 to rounding while the sines still differ.  A direction at or below
+    SIGMA_FLOOR gives the first axis.
     """
     parts = list(_split(a))
-    small = int(np.linalg.norm(parts[1]) <= np.linalg.norm(parts[0]))
-    if np.linalg.norm(parts[small]) <= SIGMA_FLOOR:
+    norms = [np.linalg.norm(x) for x in parts]
+    small = int(norms[1] <= norms[0])
+    scale = np.sqrt(np.trace(g))
+    if 0.0 < scale < norms[1 - small]:
         m_big = _unit_structure(parts[1 - small], 1 - small)
-        x = _split(-m_big @ (g - 0.25 * np.trace(g) * np.eye(4)))[small]
-        n = np.linalg.norm(x)
-        if n > SIGMA_FLOOR * np.sqrt(np.trace(g)):
-            parts[small] = x / n
+        parts[small] = _split(-m_big @ (g - 0.25 * np.trace(g) * np.eye(4)))[small] / scale
     m_plus = _unit_structure(parts[0], 0)
     q = m_plus @ _unit_structure(parts[1], 1)
     r = np.empty((4, 4))

@@ -8,7 +8,6 @@ from cayley4.ambient import H_METRIC
 from cayley4 import (
     ChartDomainError,
     KahlerChart,
-    covariant_derivative,
     einstein_report,
     flat_chart,
     fubini_study_chart,
@@ -225,25 +224,6 @@ def test_einstein_constant_is_a_least_squares_fit():
 def test_flat_chart_is_ricci_flat_not_einstein_normalized():
     rep = einstein_report(flat_chart(), n_points=20, seed=0)
     assert rep.scalar == pytest.approx(0.0, abs=1e-12)
-
-
-def test_covariant_derivative_flat_constant_field():
-    fc = flat_chart()
-    v = np.array([1.0, 0.5, 0.0, -0.3, 0.2, 0.0, 0.1, 0.0])
-    curve = lambda t: np.array([t, 0.1 * t, 0, 0, 0.2, 0, 0, 0])
-    out = covariant_derivative(fc, curve, lambda t: v, 0.3)
-    assert np.abs(out).max() < 1e-10
-
-
-def test_covariant_derivative_matches_christoffel():
-    fs = fubini_study_chart()
-    p0 = POINTS[1]
-    vel = np.array([0.3, -0.1, 0.2, 0.0, 0.1, 0.4, -0.2, 0.1])
-    curve = lambda t: p0 + t * vel
-    out = covariant_derivative(fs, curve, lambda t: vel, 0.0)
-    gamma = fs.christoffel_at(p0)
-    want = np.einsum("abc,b,c->a", gamma, vel, vel)
-    assert np.abs(out - want).max() < 1e-10
 
 
 def test_fs_chart_ball_guard():

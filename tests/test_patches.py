@@ -46,32 +46,32 @@ def test_affine_patch_tangent_plane_is_constant():
 
 def test_affine_cayley_report():
     af = builtin_patch("affine", params={"theta1": 0.7, "theta2": 0.7})
-    rep = point_report(af, T0)
-    assert rep.lam == pytest.approx(np.cos(0.7), abs=1e-12)
-    assert rep.cayley_dev < 1e-12
-    assert rep.mean_curvature_norm < 1e-10
+    rep = point_report(af, T0[None])
+    assert rep.lam[0] == pytest.approx(np.cos(0.7), abs=1e-12)
+    assert rep.cayley_dev[0] < 1e-12
+    assert rep.mean_curvature_norm[0] < 1e-10
 
 
 def test_complex_graph_is_minimal_complex():
     cg = builtin_patch("complex-graph")
-    rep = point_report(cg, T0)
-    assert rep.lam == pytest.approx(1.0, abs=1e-12)
-    assert rep.cayley_dev < 1e-12
-    assert rep.mean_curvature_norm < 1e-10
-    assert rep.gamma is None  # no phase form over complex points
+    rep = point_report(cg, T0[None])
+    assert rep.lam[0] == pytest.approx(1.0, abs=1e-12)
+    assert rep.cayley_dev[0] < 1e-12
+    assert rep.mean_curvature_norm[0] < 1e-10
+    assert np.isnan(rep.gamma[0]).all()  # no phase form over complex points
 
 
 def test_product_torus_mean_curvature_norm():
     # each circle factor contributes curvature 1/r_k, orthogonal directions
     pt = builtin_patch("product-torus", params={"radii": MIXED_RADII})
-    rep = point_report(pt, np.array([0.3, 1.1, -0.4, 2.0]))
+    rep = point_report(pt, np.array([0.3, 1.1, -0.4, 2.0])[None])
     want = np.sqrt(sum(1.0 / r**2 for r in MIXED_RADII))
-    assert rep.mean_curvature_norm == pytest.approx(want, rel=1e-4)
-    assert rep.lam == pytest.approx(0.0, abs=1e-10)
+    assert rep.mean_curvature_norm[0] == pytest.approx(want, rel=1e-4)
+    assert rep.lam[0] == pytest.approx(0.0, abs=1e-10)
 
     unit = builtin_patch("product-torus")
-    rep_u = point_report(unit, np.array([0.5, 0.5, 0.5, 0.5]))
-    assert rep_u.mean_curvature_norm == pytest.approx(2.0, rel=1e-4)
+    rep_u = point_report(unit, np.array([0.5, 0.5, 0.5, 0.5])[None])
+    assert rep_u.mean_curvature_norm[0] == pytest.approx(2.0, rel=1e-4)
 
 
 def test_degenerate_map_raises():
@@ -81,7 +81,7 @@ def test_degenerate_map_raises():
                     [t[..., :3], t[..., :1], np.zeros(t.shape[:-1] + (4,))], axis=-1),
                 box=np.array([[-0.5, 0.5]] * 4))
     with pytest.raises(RankError):
-        point_report(bad, T0)
+        point_report(bad, T0[None])
 
 
 @pytest.mark.parametrize("s, full_rank", [(0.9e-6, False), (1.1e-6, True)])
@@ -92,10 +92,10 @@ def test_rank_threshold_is_the_smallest_singular_value(s, full_rank):
                      [t[..., :3], s * t[..., 3:], np.zeros(t.shape[:-1] + (4,))], axis=-1),
                  box=np.array([[-0.5, 0.5]] * 4))
     if full_rank:
-        point_report(thin, T0)
+        point_report(thin, T0[None])
     else:
         with pytest.raises(RankError):
-            point_report(thin, T0)
+            point_report(thin, T0[None])
 
 
 def test_patch_from_spec_round_trip_and_validation():
@@ -150,22 +150,22 @@ def test_torus_gamma_is_minus_one_per_angle():
     # gamma(d/dphi_k) = -1 for every radius assignment, not only unit radii
     for radii in ([1.0, 1.0, 1.0, 1.0], MIXED_RADII):
         pt = builtin_patch("product-torus", params={"radii": radii})
-        out = gamma_form(pt, np.array([0.3, 1.1, -0.4, 2.0]))
+        out = gamma_form(pt, np.array([0.3, 1.1, -0.4, 2.0])[None])
         assert np.allclose(out["gamma_a"], -1.0, atol=1e-4)
         assert out["max_abs_diff"] < 1e-4
 
 
 def test_gamma_variants_agree_on_curved_graph():
     lg = builtin_patch("lagrangian-graph")
-    out = gamma_form(lg, T0)
-    assert out["lambda"] == pytest.approx(0.0, abs=1e-8)
+    out = gamma_form(lg, T0[None])
+    assert out["lambda"][0] == pytest.approx(0.0, abs=1e-8)
     assert out["max_abs_diff"] < 1e-4
     assert np.abs(out["gamma_a"]).max() > 0.3  # the form is genuinely nonzero
 
 
 def test_gamma_b_gauge_independent():
     pt = builtin_patch("product-torus", params={"radii": MIXED_RADII})
-    t = np.array([0.3, 1.1, -0.4, 2.0])
+    t = np.array([0.3, 1.1, -0.4, 2.0])[None]
     base = gamma_form(pt, t, gauge=0.0)
     rot = gamma_form(pt, t, gauge=0.6)
     gap = np.abs(np.array(base["gamma_b"]) - np.array(rot["gamma_b"])).max()
@@ -181,11 +181,11 @@ def test_gamma_form_stack_matches_single_points(name, params):
     stack = gamma_form(p, probes)
     assert stack["gamma_a"].shape == stack["gamma_b"].shape == (4, 4)
     assert stack["lambda"].shape == (4,)
-    singles = [gamma_form(p, t) for t in probes]
+    singles = [gamma_form(p, t[None]) for t in probes]
     for key in ("gamma_a", "gamma_b", "lambda"):
-        np.testing.assert_array_equal(stack[key], [one[key] for one in singles])
+        np.testing.assert_array_equal(stack[key], [one[key][0] for one in singles])
     assert stack["max_abs_diff"] == max(one["max_abs_diff"] for one in singles)
-    assert isinstance(singles[0]["lambda"], float)
+    assert singles[0]["lambda"].shape == (1,)
 
 
 def test_gamma_form_chunks_match_one_batch(monkeypatch):
@@ -281,13 +281,12 @@ def test_theorem_ii_guards():
                                           (verify_theorem_ii, "fs-complex-slice"),
                                           (verify_theorem_ii, "fs-lagrangian-torus")])
 def test_theorem_report_argument_gives_the_same_result(verify, name):
-    p = builtin_patch(name)
+    # the default report is the one over the grid; a coarse grid keeps it cheap
+    p = builtin_patch(name, grid_n=(3, 3, 3, 3))
+    rep = point_report(p, p.grid_points())
+    assert verify(p, report=rep).to_json() == verify(p).to_json()
     probes = p.probe_points(per_axis=2, shrink=0.5)
-    rep = point_report(p, probes, want_gamma=False)
-    assert verify(p, probes, report=rep).to_json() == verify(p, probes).to_json()
-    assert verify(p, report=rep).to_json() == verify(p, probes).to_json()
-    with pytest.raises(ValueError, match="not the PointReport"):
-        verify(p, probes[:8], report=rep)
+    assert verify(p, report=point_report(p, probes)).n_points == len(probes)
 
 
 @pytest.mark.parametrize("name", ["product-torus", "lagrangian-graph"])
@@ -546,19 +545,17 @@ def test_point_report_batch_matches_single_points(name):
     assert batch.lam.shape == (len(pts),)
     assert batch.tangent_plane.shape == (len(pts), 4, 8)
     for k in (0, CHUNK - 1, CHUNK, len(pts) - 1):
-        one = point_report(p, pts[k])
-        assert isinstance(one.lam, float)
+        one = point_report(p, pts[k][None])
+        assert one.lam.shape == (1,)
         for field in ("point", "frame_chart", "lam", "cos1", "cos2", "cayley_dev",
                       "h_tensor", "mean_curvature", "mean_curvature_norm",
-                      "h_symmetry_dev"):
-            np.testing.assert_allclose(getattr(batch, field)[k], getattr(one, field),
+                      "h_symmetry_dev", "tangent_plane"):
+            np.testing.assert_allclose(getattr(batch, field)[k], getattr(one, field)[0],
                                        rtol=0, atol=1e-12, err_msg=field)
-        np.testing.assert_allclose(batch.tangent_plane[k], one.tangent_plane.frame,
-                                   rtol=0, atol=1e-12)
-        if one.gamma is None:
+        if np.isnan(one.gamma[0]).any():
             assert np.isnan(batch.gamma[k]).all()
         else:
-            np.testing.assert_allclose(batch.gamma[k], one.gamma, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.gamma[k], one.gamma[0], rtol=0, atol=1e-12)
     assert json.dumps(batch.to_json())           # undefined gamma rows are null
 
 
@@ -567,5 +564,15 @@ def test_row_only_map_is_rejected_with_one_line_error():
     row_only = Patch(name="row-only", chart=lg.chart, box=lg.box,
                      map_fn=lambda t: np.concatenate([t, t]))
     with pytest.raises(ValueError, match=r"\(\.\.\., 4\) to \(\.\.\., 8\)") as info:
-        point_report(row_only, T0)
+        point_report(row_only, T0[None])
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("route", [point_report, gamma_form])
+@pytest.mark.parametrize("t", [T0, np.zeros((2, 3)), np.zeros((0, 4))],
+                         ids=["one-point", "three-columns", "empty-stack"])
+def test_patch_results_take_a_stack_of_points(route, t):
+    lg = builtin_patch("lagrangian-graph")
+    with pytest.raises(ValueError, match=r"stack of points \(N, 4\)") as info:
+        route(lg, t)
     assert "\n" not in str(info.value)
