@@ -175,6 +175,15 @@ def cayley_calibration(alpha: float = 0.0) -> CayleyCalibration:
 _BLOCK = 4096
 
 
+def _component_major(block: np.ndarray) -> np.ndarray:
+    """A block of frames (m, 4, 8) as x[a, i] (4, 8, m), contiguous over frames.
+
+    A block whose frame axis is already contiguous, as in the blocks of
+    _haar_blocks, is not copied."""
+    x = np.moveaxis(block, 0, -1)
+    return x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)
+
+
 def omega0_values(frames: np.ndarray) -> np.ndarray:
     """Omega_0 evaluated on frames (..., 4, 8); complex result.
 
@@ -185,7 +194,8 @@ def omega0_values(frames: np.ndarray) -> np.ndarray:
     f = np.reshape(np.asarray(frames, dtype=float), (-1, 4, DIM))
     out = np.empty(len(f), dtype=complex)
     for s in range(0, len(f), _BLOCK):
-        z = np.moveaxis(complexify(f[s:s + _BLOCK]), 0, -1).copy()   # z[r, a] contiguous
+        x = _component_major(f[s:s + _BLOCK])
+        z = x[:, 0::2] + 1j * x[:, 1::2]           # z[r, a] = dz_a(f_r), contiguous
 
         def minor(r, a, b):                        # rows r, r + 1; columns a, b
             return z[r, a] * z[r + 1, b] - z[r, b] * z[r + 1, a]
@@ -252,9 +262,9 @@ def _haar_blocks(rng: np.random.Generator, n: int):
     enough": Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), run
     in place on a component-major (8, 4, m) copy, so that every operation is
     on a contiguous vector over frames.  It agrees with LAPACK's QR to
-    rounding level.  Each block is a view of its (m, 8, 4) array of columns,
-    as with _qr_rows; restrict_matrix is faster on that layout than on
-    contiguous rows.
+    rounding level.  Each block is a view of that (8, 4, m) array, so the
+    component-major kernels (omega0_values, batch_kahler_cosines) read it
+    without a copy.
     """
     for s in range(0, n, _BLOCK):
         g = rng.standard_normal((min(_BLOCK, n - s), DIM, 4))
@@ -266,7 +276,7 @@ def _haar_blocks(rng: np.random.Generator, n: int):
                 for b in range(a):
                     v -= r[b] * w[:, b]
             v /= np.sqrt(np.einsum("in,in->n", v, v))
-        yield np.swapaxes(np.transpose(w, (2, 0, 1)).copy(), -1, -2)
+        yield np.transpose(w, (2, 1, 0))
 
 
 def haar_frames(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -280,14 +290,26 @@ def haar_frames(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.swapaxes(cols, -1, -2)
 
 
+@lru_cache(maxsize=1)
+def _triple_slots() -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in a dense (8, 8, 8) tensor of the 6 orderings of each
+    of the 56 increasing index triples, shape (56, 6), and the orderings'
+    signs (6,)."""
+    perms = list(permutations(range(3)))
+    idx = np.asarray(index_tuples(3))[:, perms]            # (56, 6, 3)
+    slots = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), (DIM,) * 3)
+    return slots, np.array([_sort_sign(p) for p in perms], dtype=float)
+
+
 def _dense_tensor(form: KForm) -> np.ndarray:
-    """T[i, j, k, l] = form(e_i, e_j, e_k, e_l) as a (64, 64) matrix T[ij, kl]."""
-    e = np.eye(DIM)
-    t = np.zeros((DIM,) * 4)
-    for i, j, k in index_tuples(3):
-        row = interior_product(interior_product(interior_product(form, e[i]), e[j]), e[k])
-        for perm in permutations((i, j, k)):
-            t[perm] = _sort_sign(perm) * row.coeffs
+    """T[i, j, k, l] = form(e_i, e_j, e_k, e_l) as a (64, 64) matrix T[ij, kl].
+
+    Row i is the 3-form i_{e_i} form, whose coefficients go to every ordering
+    of their index triples, with its sign, in one indexed assignment."""
+    slots, signs = _triple_slots()
+    rows = np.array([interior_product(form, e).coeffs for e in np.eye(DIM)])
+    t = np.zeros((DIM, DIM ** 3))
+    t[:, slots] = rows[:, :, None] * signs
     return t.reshape(DIM * DIM, -1)
 
 

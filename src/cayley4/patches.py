@@ -349,6 +349,14 @@ def _stack_of_points(t: np.ndarray) -> np.ndarray:
     return t
 
 
+def _single_point(t: np.ndarray) -> np.ndarray:
+    """t as a float point (4,); any other shape is a ValueError."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (4,):
+        raise ValueError(f"t must be a single point (4,), got shape {t.shape}")
+    return t
+
+
 def _report_fields(patch: Patch, t: np.ndarray) -> dict:
     """PointReport fields, each with a leading axis, at a stack t (n, 4)."""
     geo = _point_geometry(patch, t, patch.fd_step, second=True)
@@ -557,7 +565,7 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8) -> dict:
     when the point is Cayley within default_cayley_tol (None otherwise).
     """
     h = patch.fd_step
-    t = np.asarray(t, dtype=float)
+    t = _single_point(t)
     rng = np.random.default_rng(TRIPLE_SEED)
     geo = _point_geometry(patch, t, h, second=True)
     st = standard_structure()
@@ -603,7 +611,7 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8) -> dict:
 def coclosure_residual(patch: Patch, t: np.ndarray) -> float:
     """Max over X of |d*(omega|_N)(X)| = |sum_a (D_{e_a} omega)(e_a, X)|."""
     h = patch.fd_step
-    t = np.asarray(t, dtype=float)
+    t = _single_point(t)
     geo = _point_geometry(patch, t, h, second=True)
     _, nab, _, gamma_chr = _second_fundamental(patch, geo)
     w = geo.gs_coeff                        # e_a in parameter coordinates (rows)

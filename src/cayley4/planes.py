@@ -53,6 +53,8 @@ from .multilinear import (
     restrict_matrix,
 )
 from .hermitian import (
+    _BLOCK,
+    _component_major,
     complexify,
     omega0_values,
     phi_values,
@@ -99,6 +101,12 @@ CAYLEY_TOL = 1e-10
 
 # Singular values of a restricted Kaehler form up to this count as 0.
 SIGMA_FLOOR = 1e-12
+
+# batch_kahler_cosines streams a block of at least this many frames and
+# restricts a smaller one; 256 is the measured crossover of their costs.
+# The routes differ in the last bit, so a frame's cosines depend on the
+# size of the block it is in.
+_STREAM_MIN = 256
 
 
 class NearComplexError(ValueError):
@@ -448,13 +456,48 @@ def random_unitary_basis(rng: np.random.Generator) -> np.ndarray:
     return realify(q.T)
 
 
+def _norm3(d) -> np.ndarray:
+    """|d| for the three components d[0], d[1], d[2] of a vector field;
+    equal to np.linalg.norm over a last axis of length 3, bit for bit."""
+    return np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
+
+def _split_norms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|u + v| and |u - v| of _split on a block of frames (m, 4, 8).
+
+    A block of fewer than _STREAM_MIN frames is restricted by restrict_matrix.
+    A larger one is streamed, without forming the restricted forms:
+    omega(f_a, f_b) = sum_k (x[a, 2k] x[b, 2k+1] - x[a, 2k+1] x[b, 2k]) as
+    sums over contiguous vectors of m frames.  The routes agree to rounding.
+    """
+    if len(block) < _STREAM_MIN:
+        sd, asd = _split(restrict_matrix(standard_structure().omega_mat, block))
+        return _norm3(sd.T), _norm3(asd.T)
+    x = _component_major(block)
+
+    def omega(a, b):
+        w = np.einsum("km,km->m", x[a, 0::2], x[b, 1::2])
+        w -= np.einsum("km,km->m", x[a, 1::2], x[b, 0::2])
+        return w
+
+    u = (omega(0, 1), omega(0, 2), omega(0, 3))
+    v = (omega(2, 3), omega(3, 1), omega(1, 2))
+    return _norm3([a + b for a, b in zip(u, v)]), _norm3([a - b for a, b in zip(u, v)])
+
+
 def batch_kahler_cosines(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (cos(theta1), cos(theta2)) for frames of shape (n, 4, 8).
+    """Vectorized (cos(theta1), cos(theta2)) for frames of shape (..., 4, 8).
 
     Self-dual split of the restricted Kaehler form (module docstring); the
     anti-self-dual norm |u - v| is the Cayley defect cos(theta1) -
     cos(theta2) itself, so a tiny angle gap is resolved to full precision.
+    The frames are taken in blocks of _BLOCK, as omega0_values takes them,
+    and each block by the route _split_norms picks for its size.
     """
-    sd, asd = _split(restrict_matrix(standard_structure().omega_mat, frames))
-    sd, asd = np.linalg.norm(sd, axis=-1), np.linalg.norm(asd, axis=-1)
-    return 0.5 * (sd + asd), 0.5 * (sd - asd)
+    frames = np.asarray(frames, dtype=float)
+    f = frames.reshape(-1, 4, DIM)
+    sd, asd = np.empty(len(f)), np.empty(len(f))
+    for s in range(0, len(f), _BLOCK):
+        sd[s:s + _BLOCK], asd[s:s + _BLOCK] = _split_norms(f[s:s + _BLOCK])
+    lead = frames.shape[:-2]
+    return (0.5 * (sd + asd)).reshape(lead)[()], (0.5 * (sd - asd)).reshape(lead)[()]

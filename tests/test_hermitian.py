@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -19,7 +20,18 @@ from cayley4.hermitian import (
     standard_structure,
     wirtinger_values,
 )
-from cayley4.multilinear import Blade4, KForm, OrientedPlane4, evaluate, evaluate_frames, wedge
+from cayley4.multilinear import (
+    DIM,
+    Blade4,
+    KForm,
+    OrientedPlane4,
+    _sort_sign,
+    evaluate,
+    evaluate_frames,
+    index_tuples,
+    interior_product,
+    wedge,
+)
 
 
 def test_complex_structure_squares_to_minus_one():
@@ -204,6 +216,25 @@ def test_dense_tensor_values_match_minors():
     frames = haar_frames(np.random.default_rng(4), 200)
     values, _ = _values_and_gradients(_dense_tensor(form), frames)
     assert np.max(np.abs(values - evaluate_frames(form, frames))) <= 1e-13
+
+
+def _dense_tensor_by_contractions(form):
+    """Reference tensor: one triple contraction per increasing (i, j, k),
+    spread over the orderings of (i, j, k) with their signs."""
+    e = np.eye(DIM)
+    t = np.zeros((DIM,) * 4)
+    for i, j, k in index_tuples(3):
+        row = interior_product(interior_product(interior_product(form, e[i]), e[j]), e[k])
+        for perm in permutations((i, j, k)):
+            t[perm] = _sort_sign(perm) * row.coeffs
+    return t.reshape(DIM * DIM, -1)
+
+
+@pytest.mark.parametrize("form", [cayley_calibration(a).form for a in (0.0, 0.5, 1.234, 3.0)]
+                         + [_generic_form(9)], ids=["phi-0", "phi-0.5", "phi-1.234", "phi-3",
+                                                    "random"])
+def test_dense_tensor_matches_the_contraction_construction(form):
+    assert np.array_equal(_dense_tensor(form), _dense_tensor_by_contractions(form))
 
 
 def test_dense_tensor_gradients_match_central_differences():

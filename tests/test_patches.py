@@ -576,3 +576,12 @@ def test_patch_results_take_a_stack_of_points(route, t):
     with pytest.raises(ValueError, match=r"stack of points \(N, 4\)") as info:
         route(lg, t)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("route", [verify_h_symmetry, coclosure_residual])
+@pytest.mark.parametrize("t", [np.zeros((2, 4)), np.zeros((1, 4)), np.zeros(3)],
+                         ids=["stack", "one-row-stack", "three-coordinates"])
+def test_single_point_checks_take_one_point(route, t):
+    with pytest.raises(ValueError, match=r"single point \(4,\)") as info:
+        route(builtin_patch("affine"), t)
+    assert "\n" not in str(info.value)

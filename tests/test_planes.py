@@ -24,9 +24,16 @@ from cayley4 import (
     standard_structure,
     unitary_from_cayley,
 )
-from cayley4.hermitian import wirtinger_values
+from cayley4 import hermitian
+from cayley4.hermitian import _BLOCK, wirtinger_values
 from cayley4.multilinear import OrientedPlane4, restrict_matrix
-from cayley4.planes import _canonical_rotation, _normal_gram, random_unitary_basis
+from cayley4.planes import (
+    _STREAM_MIN,
+    _canonical_rotation,
+    _normal_gram,
+    _split,
+    random_unitary_basis,
+)
 
 
 def _real_axes():
@@ -268,9 +275,53 @@ def test_wirtinger_value_is_the_product_of_the_cosines():
 def test_split_cosines_resolve_a_tiny_angle_gap(theta):
     gap = 1e-12
     u = random_unitary_basis(np.random.default_rng(5))
-    c1, c2 = batch_kahler_cosines(build_plane(u, theta, theta + gap).frame[None])
-    assert np.arccos(c2[0]) - np.arccos(c1[0]) == pytest.approx(gap, rel=0.01)
-    assert c1[0] - c2[0] == pytest.approx(np.sin(theta) * gap, rel=0.01)
+    frame = build_plane(u, theta, theta + gap).frame
+    for n in (1, _STREAM_MIN):                     # restricted, then streamed
+        c1, c2 = batch_kahler_cosines(np.repeat(frame[None], n, axis=0))
+        assert np.arccos(c2) - np.arccos(c1) == pytest.approx(np.full(n, gap), rel=0.01)
+        assert c1 - c2 == pytest.approx(np.full(n, np.sin(theta) * gap), rel=0.01)
+
+
+def _restricted_cosines(frames):
+    """The restriction route: _split of restrict_matrix, then the two norms."""
+    sd, asd = _split(restrict_matrix(standard_structure().omega_mat, frames))
+    sd, asd = np.linalg.norm(sd, axis=-1), np.linalg.norm(asd, axis=-1)
+    return 0.5 * (sd + asd), 0.5 * (sd - asd)
+
+
+@pytest.mark.parametrize("n", [1, 7, _STREAM_MIN - 1])
+def test_small_stacks_take_the_restriction_route_bit_for_bit(n):
+    frames = haar_frames(np.random.default_rng(41), n)
+    for got, ref in zip(batch_kahler_cosines(frames), _restricted_cosines(frames)):
+        assert np.array_equal(got, ref)
+
+
+def test_streamed_cosines_match_the_restriction_route():
+    frames = _haar_and_special_frames()
+    assert len(frames) % _BLOCK >= _STREAM_MIN         # the special planes are streamed
+    c1, c2 = batch_kahler_cosines(frames)
+    r1, r2 = _restricted_cosines(frames)
+    assert np.max(np.abs(c1 - r1)) <= 1e-15
+    assert np.max(np.abs(c2 - r2)) <= 1e-15
+    assert c1[-1] == c2[-1] == 0.0                     # the restricted form is exactly 0
+
+
+@pytest.mark.parametrize("n", [4097, 2 * 4096 + 1100])
+def test_cosine_bits_do_not_depend_on_layout_or_blocking(n):
+    # generator blocks (views of a component-major array), the whole stack in
+    # haar_frames' column layout, a C-contiguous copy and _BLOCK slices of it
+    blocks = list(hermitian._haar_blocks(np.random.default_rng(42), n))
+    frames = haar_frames(np.random.default_rng(42), n)
+    ref = batch_kahler_cosines(frames)
+    routes = {
+        "generator blocks": [batch_kahler_cosines(b) for b in blocks],
+        "contiguous copy": [batch_kahler_cosines(np.ascontiguousarray(frames))],
+        "block slices": [batch_kahler_cosines(frames[s:s + _BLOCK])
+                         for s in range(0, n, _BLOCK)],
+    }
+    for name, parts in routes.items():
+        for k in range(2):
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), ref[k]), name
 
 
 def test_canonical_rotation_brings_every_form_to_normal_shape():
