@@ -100,6 +100,8 @@ def cmd_scan(args) -> int:
         raise InputError("scan needs n >= 1")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be finite and > 0, got {args.tol}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     alphas = _phase_grid(args.phases)
     rng = np.random.default_rng(args.seed)
     # one block of frames at a time, each restricted once: (omega^2/2)(xi) =
@@ -148,6 +150,8 @@ def cmd_comass(args) -> int:
         raise InputError(f"--steps must be >= 0, got {args.steps}")
     if not math.isfinite(args.alpha):
         raise InputError(f"--alpha must be finite, got {args.alpha}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     form = hermitian.cayley_calibration(args.alpha).form
     detail = hermitian.comass_detail(form, n_samples=args.samples,
                                      refine_steps=args.steps, seed=args.seed)

@@ -54,7 +54,8 @@ import numpy as np
 from . import _fd
 from .multilinear import (DIM, OrientedPlane4, hodge_star_plane, pfaffian4, require_orthonormal,
                           restrict_matrix)
-from .hermitian import complexify, omega0_values, realify, standard_structure, wirtinger_values
+from .hermitian import (_phase_combination, complexify, omega0_values, realify,
+                        standard_structure, wirtinger_values)
 from .planes import batch_kahler_cosines, canonical_form, unitary_gauge
 from .ambient import KahlerChart, flat_chart, fubini_study_chart, metric_from_hermitian
 
@@ -592,7 +593,7 @@ def verify_h_symmetry(patch: Patch, t: np.ndarray, n_triples: int = 8) -> dict:
 
     identity2_max = None
     if geo.cayley_dev <= default_cayley_tol(h):
-        mean = h_frame[0, 0] + h_frame[1, 1] + h_frame[2, 2] + h_frame[3, 3]
+        mean = _mean(h_frame[None])[0]
         xv = rng.standard_normal((n_triples, 4)) @ tang
         xcoef = xv @ (geo.frame @ g).T               # X in the orthonormal frame
         hxe = np.einsum("ki,iac->kac", xcoef, h_frame)
@@ -775,7 +776,7 @@ def verify_theorem_i(patch: Patch, report: PointReport | None = None) -> Calibra
     w = omega0_values(frames)
     pf = wirtinger_values(frames)
     alphas = np.linspace(0.0, 2.0 * np.pi, N_PHASES, endpoint=False)
-    phi = (np.exp(1j * alphas)[:, None] * w[None, :]).real + pf[None, :]
+    phi = _phase_combination(w, pf, alphas)
 
     minimal = hmax <= MINIMAL_TOL
     if not minimal:
@@ -798,7 +799,7 @@ def verify_theorem_i(patch: Patch, report: PointReport | None = None) -> Calibra
     mean_dir = np.mean(np.exp(1j * alpha_xi))
     alpha_star = float(np.angle(mean_dir))
     phase_dev = float(np.max(np.abs(_wrap_angle(alpha_xi - alpha_star))))
-    phi_star = (np.exp(1j * alpha_star) * w).real + pf
+    phi_star = _phase_combination(w, pf, alpha_star)
     defect = float(np.max(np.abs(phi_star - 1.0)))
     return CalibrationReport(
         minimal=True, max_mean_curvature=hmax, branch="calibrated",

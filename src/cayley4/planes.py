@@ -102,12 +102,6 @@ CAYLEY_TOL = 1e-10
 # Singular values of a restricted Kaehler form up to this count as 0.
 SIGMA_FLOOR = 1e-12
 
-# batch_kahler_cosines streams a block of at least this many frames and
-# restricts a smaller one; 256 is the measured crossover of their costs.
-# The routes differ in the last bit, so a frame's cosines depend on the
-# size of the block it is in.
-_STREAM_MIN = 256
-
 
 class NearComplexError(ValueError):
     """Raised when a construction needs sin(theta) bounded away from 0."""
@@ -463,25 +457,14 @@ def _norm3(d) -> np.ndarray:
 
 
 def _split_norms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|u + v| and |u - v| of _split on a block of frames (m, 4, 8).
-
-    A block of fewer than _STREAM_MIN frames is restricted by restrict_matrix.
-    A larger one is streamed, without forming the restricted forms:
-    omega(f_a, f_b) = sum_k (x[a, 2k] x[b, 2k+1] - x[a, 2k+1] x[b, 2k]) as
-    sums over contiguous vectors of m frames.  The routes agree to rounding.
+    """|u + v| and |u - v| of _split on a block of frames (m, 4, 8), without
+    forming the restricted forms: p[a, b] = sum_k x[a, 2k] x[b, 2k+1] over
+    contiguous vectors of m frames, and omega(f_a, f_b) = p[a, b] - p[b, a].
     """
-    if len(block) < _STREAM_MIN:
-        sd, asd = _split(restrict_matrix(standard_structure().omega_mat, block))
-        return _norm3(sd.T), _norm3(asd.T)
     x = _component_major(block)
-
-    def omega(a, b):
-        w = np.einsum("km,km->m", x[a, 0::2], x[b, 1::2])
-        w -= np.einsum("km,km->m", x[a, 1::2], x[b, 0::2])
-        return w
-
-    u = (omega(0, 1), omega(0, 2), omega(0, 3))
-    v = (omega(2, 3), omega(3, 1), omega(1, 2))
+    p = np.einsum("akm,bkm->abm", x[:, 0::2], x[:, 1::2])
+    u = (p[0, 1] - p[1, 0], p[0, 2] - p[2, 0], p[0, 3] - p[3, 0])
+    v = (p[2, 3] - p[3, 2], p[3, 1] - p[1, 3], p[1, 2] - p[2, 1])
     return _norm3([a + b for a, b in zip(u, v)]), _norm3([a - b for a, b in zip(u, v)])
 
 
@@ -492,7 +475,8 @@ def batch_kahler_cosines(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     anti-self-dual norm |u - v| is the Cayley defect cos(theta1) -
     cos(theta2) itself, so a tiny angle gap is resolved to full precision.
     The frames are taken in blocks of _BLOCK, as omega0_values takes them,
-    and each block by the route _split_norms picks for its size.
+    and every block by the one kernel of _split_norms, so a frame's cosines
+    do not depend on the stack it arrives in.
     """
     frames = np.asarray(frames, dtype=float)
     f = frames.reshape(-1, 4, DIM)

@@ -251,6 +251,8 @@ def _one_line_error(capsys):
     ["verify-patch", "--name", "affine", "--tol", "nan"],
     ["verify-patch", "--name", "affine", "--tol", "inf"],
     ["verify-patch", "--name", "affine", "--tol", "0"],
+    ["scan", "--n", "10", "--seed", "-1"],
+    ["comass", "--samples", "2", "--steps", "2", "--seed", "-1"],
 ])
 def test_bad_numeric_arguments_exit_2(argv, plane_file, capsys):
     argv = [plane_file if a == "PLANE" else a for a in argv]

@@ -28,7 +28,6 @@ from cayley4 import hermitian
 from cayley4.hermitian import _BLOCK, wirtinger_values
 from cayley4.multilinear import OrientedPlane4, restrict_matrix
 from cayley4.planes import (
-    _STREAM_MIN,
     _canonical_rotation,
     _normal_gram,
     _split,
@@ -276,7 +275,7 @@ def test_split_cosines_resolve_a_tiny_angle_gap(theta):
     gap = 1e-12
     u = random_unitary_basis(np.random.default_rng(5))
     frame = build_plane(u, theta, theta + gap).frame
-    for n in (1, _STREAM_MIN):                     # restricted, then streamed
+    for n in (1, 256):
         c1, c2 = batch_kahler_cosines(np.repeat(frame[None], n, axis=0))
         assert np.arccos(c2) - np.arccos(c1) == pytest.approx(np.full(n, gap), rel=0.01)
         assert c1 - c2 == pytest.approx(np.full(n, np.sin(theta) * gap), rel=0.01)
@@ -289,21 +288,28 @@ def _restricted_cosines(frames):
     return 0.5 * (sd + asd), 0.5 * (sd - asd)
 
 
-@pytest.mark.parametrize("n", [1, 7, _STREAM_MIN - 1])
-def test_small_stacks_take_the_restriction_route_bit_for_bit(n):
-    frames = haar_frames(np.random.default_rng(41), n)
-    for got, ref in zip(batch_kahler_cosines(frames), _restricted_cosines(frames)):
-        assert np.array_equal(got, ref)
-
-
 def test_streamed_cosines_match_the_restriction_route():
     frames = _haar_and_special_frames()
-    assert len(frames) % _BLOCK >= _STREAM_MIN         # the special planes are streamed
-    c1, c2 = batch_kahler_cosines(frames)
-    r1, r2 = _restricted_cosines(frames)
-    assert np.max(np.abs(c1 - r1)) <= 1e-15
-    assert np.max(np.abs(c2 - r2)) <= 1e-15
-    assert c1[-1] == c2[-1] == 0.0                     # the restricted form is exactly 0
+    for n in (1, 7, 255, len(frames)):                 # each stack ends with the special planes
+        c1, c2 = batch_kahler_cosines(frames[-n:])
+        r1, r2 = _restricted_cosines(frames[-n:])
+        assert np.max(np.abs(c1 - r1)) <= 1e-15
+        assert np.max(np.abs(c2 - r2)) <= 1e-15
+        assert c1[-1] == c2[-1] == 0.0                 # the restricted form is exactly 0
+
+
+def test_cosine_bits_do_not_depend_on_the_stack_size():
+    # each frame alone, then inside stacks on both sides of 256 frames and of
+    # one _BLOCK, in C order and as a view contiguous over frames
+    frames = _haar_and_special_frames()
+    pool = np.concatenate([frames[-6:], frames[:4091]])    # special planes first
+    alone = np.array([batch_kahler_cosines(f[None]) for f in pool])[..., 0]
+    for n in (7, 255, 256, 4097):
+        stack = pool[:n]
+        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+        for layout in (stack, view):
+            got = np.array(batch_kahler_cosines(layout)).T
+            assert np.array_equal(got, alone[:n]), (n, layout.flags.c_contiguous)
 
 
 @pytest.mark.parametrize("n", [4097, 2 * 4096 + 1100])
