@@ -19,7 +19,6 @@ from .multilinear import (
     wedge,
 )
 from .hermitian import (
-    CayleyCalibration,
     HermitianStructure,
     cayley_calibration,
     comass,
@@ -27,19 +26,16 @@ from .hermitian import (
     complexify,
     haar_frames,
     realify,
-    reference_volume_form,
     standard_structure,
 )
 from .planes import (
     AngleReport,
-    BOperator,
     NearComplexError,
     NotCayleyError,
     PartiallyComplexError,
     batch_kahler_cosines,
     b_operator,
     build_plane,
-    calibration_value,
     canonical_form,
     cayley_basis,
     is_cayley,

@@ -38,20 +38,13 @@ def differences(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return _lead(vals[:n] - vals[n:], x, 1)
 
 
-def gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    """d_i f(x) ~ (f(x + h e_i) - f(x - h e_i)) / 2h."""
-    d = differences(f, x, h)
-    d /= 2.0 * h
-    return d
-
-
 def jet(f: Callable, x: np.ndarray, h: float, second: bool = False):
     """(f(x), gradient) or, with second, (f(x), gradient, Hessian) from one
     call of f on the stacked stencil points.
 
+    The gradient is the central difference (f(x + h e_i) - f(x - h e_i)) / 2h.
     The Hessian uses the three-point stencil on the diagonal and the
-    four-point mixed stencil off it; the gradient is the same central
-    difference as `gradient`, so both agree to the last bit.
+    four-point mixed stencil off it.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]

@@ -47,6 +47,7 @@ __all__ = [
     "EinsteinReport",
     "flat_chart",
     "fubini_study_chart",
+    "CHARTS",
     "einstein_report",
 ]
 
@@ -165,13 +166,6 @@ class EinsteinReport:
     max_deviation: float
     n_points: int
 
-    def to_json(self) -> dict:
-        return {
-            "einstein_constant": self.scalar,
-            "max_relative_deviation": self.max_deviation,
-            "n_points": self.n_points,
-        }
-
 
 def flat_chart() -> KahlerChart:
     def potential(p):
@@ -203,6 +197,10 @@ def fubini_study_chart(scale: float = 1.0) -> KahlerChart:
 
     return KahlerChart(name="fubini-study", potential=potential,
                        hermitian=hermitian, radius=FS_RADIUS)
+
+
+# The charts a patch spec or the CLI can name, each by its KahlerChart.name.
+CHARTS = {"flat": flat_chart, "fubini-study": fubini_study_chart}
 
 
 def einstein_report(chart: KahlerChart, n_points: int = 100, seed: int = 0) -> EinsteinReport:

@@ -152,7 +152,7 @@ def cmd_comass(args) -> int:
         raise InputError(f"--alpha must be finite, got {args.alpha}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
-    form = hermitian.cayley_calibration(args.alpha).form
+    form = hermitian.cayley_calibration(args.alpha)
     detail = hermitian.comass_detail(form, n_samples=args.samples,
                                      refine_steps=args.steps, seed=args.seed)
     finals = np.asarray(detail["final_values"])
@@ -180,26 +180,19 @@ def _patch_from_args(args) -> patches.Patch:
             raise InputError(f"cannot read patch spec: {exc}")
         if not isinstance(spec, dict):
             raise InputError("invalid patch spec: expected a JSON object")
-        # --grid and --ambient override the spec's own fields
-        if args.grid:
-            spec["grid"] = {"n": list(args.grid)}
-        if args.ambient:
-            spec["ambient"] = args.ambient
-        try:
-            return patches.patch_from_spec(spec)
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"invalid patch spec: {exc}")
-    if args.name:
-        grid = tuple(args.grid) if args.grid else None
-        chart = None
-        if args.ambient:
-            chart = (ambient.flat_chart() if args.ambient == "flat"
-                     else ambient.fubini_study_chart())
-        try:
-            return patches.builtin_patch(args.name, chart=chart, grid_n=grid)
-        except (KeyError, ValueError) as exc:
-            raise InputError(str(exc))
-    raise InputError("verify-patch needs --spec or --name")
+    elif args.name:
+        spec = {"name": args.name}
+    else:
+        raise InputError("verify-patch needs --spec or --name")
+    # --grid and --ambient override the spec's own fields
+    if args.grid:
+        spec["grid"] = {"n": list(args.grid)}
+    if args.ambient:
+        spec["ambient"] = args.ambient
+    try:
+        return patches.patch_from_spec(spec)
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"invalid patch spec: {exc}")
 
 
 def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
@@ -371,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify-patch", help="run all applicable patch checks")
     pv.add_argument("--spec", help="patch spec JSON path")
     pv.add_argument("--name", help="builtin patch name")
-    pv.add_argument("--ambient", choices=["flat", "fubini-study"])
+    pv.add_argument("--ambient", choices=list(ambient.CHARTS))
     pv.add_argument("--grid", type=int, nargs=4, metavar="N")
     pv.add_argument("--tol", type=float)
     pv.add_argument("--out")

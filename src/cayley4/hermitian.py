@@ -26,10 +26,8 @@ import numpy as np
 
 from .multilinear import (
     DIM,
-    Blade4,
     KForm,
     _sort_sign,
-    evaluate,
     evaluate_frames,
     index_tuples,
     interior_product,
@@ -40,11 +38,8 @@ from .multilinear import (
 
 __all__ = [
     "HermitianStructure",
-    "ComplexVolumeForm",
-    "CayleyCalibration",
     "standard_structure",
     "cayley_calibration",
-    "reference_volume_form",
     "complexify",
     "realify",
     "omega0_values",
@@ -116,48 +111,18 @@ def _omega0_parts() -> tuple[KForm, KForm]:
     return re, im
 
 
-@dataclass(frozen=True)
-class ComplexVolumeForm:
-    """Omega_alpha = e^{i alpha} Omega_0 as a (re, im) pair of real forms."""
-
-    alpha: float
-    re: KForm
-    im: KForm
-
-    @classmethod
-    def at_phase(cls, alpha: float) -> "ComplexVolumeForm":
-        re0, im0 = _omega0_parts()
-        c, s = np.cos(alpha), np.sin(alpha)
-        return cls(alpha=float(alpha), re=c * re0 - s * im0, im=s * re0 + c * im0)
-
-    def value(self, blade: Blade4) -> complex:
-        return complex(evaluate(self.re, blade), evaluate(self.im, blade))
-
-
-def reference_volume_form() -> ComplexVolumeForm:
-    return ComplexVolumeForm.at_phase(0.0)
-
-
 @lru_cache(maxsize=1)
 def _wirtinger_form() -> KForm:
     omega = standard_structure().omega
     return 0.5 * wedge(omega, omega)
 
 
-@dataclass(frozen=True)
-class CayleyCalibration:
-    """Phi_alpha = Re(Omega_alpha) + omega^2/2; comass 1 (verified, not assumed)."""
-
-    alpha: float
-    form: KForm
-
-    def value(self, blade: Blade4) -> float:
-        return evaluate(self.form, blade)
-
-
-def cayley_calibration(alpha: float = 0.0) -> CayleyCalibration:
-    vol = ComplexVolumeForm.at_phase(alpha)
-    return CayleyCalibration(alpha=float(alpha), form=vol.re + _wirtinger_form())
+def cayley_calibration(alpha: float = 0.0) -> KForm:
+    """Phi_alpha = Re(e^{i alpha} Omega_0) + omega^2/2; comass 1 (verified,
+    not assumed)."""
+    re0, im0 = _omega0_parts()
+    c, s = np.cos(alpha), np.sin(alpha)
+    return (c * re0 - s * im0) + _wirtinger_form()
 
 
 # ---------------------------------------------------------------------------

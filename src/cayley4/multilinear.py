@@ -19,7 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
@@ -116,11 +116,6 @@ class KForm:
         c[index_rank(k)[tuple(indices)]] = 1.0
         return cls(k, c)
 
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "KForm":
-        """Metric-dual 1-form of a vector (the ambient model metric is id)."""
-        return cls(1, np.asarray(v, dtype=float).copy())
-
     def __add__(self, other: "KForm") -> "KForm":
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
@@ -135,12 +130,6 @@ class KForm:
         return KForm(self.degree, self.coeffs * float(scale))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "KForm":
-        return KForm(self.degree, -self.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -246,9 +235,6 @@ class OrientedPlane4:
         q = q * np.sign(np.diag(r))
         return cls(q.T)
 
-    def blade(self) -> Blade4:
-        return Blade4(self.frame)
-
     def blade_coords(self) -> np.ndarray:
         return _minors4(self.frame)
 
@@ -286,11 +272,6 @@ def matrix_to_form(m: np.ndarray) -> KForm:
     a = 0.5 * (m - m.T)
     c = np.array([a[i, j] for (i, j) in index_tuples(2)])
     return KForm(2, c)
-
-
-def restrict_2form(form: KForm, plane: OrientedPlane4) -> np.ndarray:
-    """Restrict a 2-form to a plane: entry (i, j) = form(frame_i, frame_j)."""
-    return restrict_matrix(form_to_matrix(form), plane.frame)
 
 
 def restrict_matrix(m: np.ndarray, frames: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from .multilinear import (DIM, OrientedPlane4, hodge_star_plane, pfaffian4, requ
 from .hermitian import (_phase_combination, complexify, omega0_values, realify,
                         standard_structure, wirtinger_values)
 from .planes import batch_kahler_cosines, canonical_form, unitary_gauge
-from .ambient import KahlerChart, flat_chart, fubini_study_chart, metric_from_hermitian
+from .ambient import CHARTS, KahlerChart, einstein_report, metric_from_hermitian
 
 __all__ = [
     "Patch",
@@ -156,7 +156,7 @@ class Patch:
         lens = self.box[:, 1] - self.box[:, 0]
         n = np.asarray(self.grid_n, dtype=float)
         per = np.asarray(self.periodic)
-        return np.where(per, lens / n, lens / (n - 1))
+        return lens / np.where(per, n, n - 1)
 
     def grid_points(self) -> np.ndarray:
         """Lattice over the box; periodic axes drop the duplicate endpoint."""
@@ -249,7 +249,10 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
     p, tang, *sec = _fd.jet(patch.evaluate, t, h, second)
     hmat = patch.chart.hermitian_at(p)
     g = metric_from_hermitian(hmat)
-    gram = restrict_matrix(g, tang)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = restrict_matrix(g, tang)
+    if not np.isfinite(gram).all():
+        raise RankError("tangent Gram matrix is not finite (dF overflows the metric)")
     # the smallest singular value of dF is below RANK_TOL exactly when
     # gram - RANK_TOL^2 I is not positive definite
     try:
@@ -832,8 +835,6 @@ def verify_theorem_ii(patch: Patch, report: PointReport | None = None) -> Einste
     every point of report is Cayley within tolerance, the patch is minimal.
     report is as in verify_theorem_i.
     """
-    from .ambient import einstein_report
-
     ein = einstein_report(patch.chart, n_points=EINSTEIN_SAMPLES)
     rep = point_report(patch, patch.grid_points()) if report is None else report
     hmax = float(np.max(rep.mean_curvature_norm))
@@ -928,7 +929,7 @@ def _finite_array(value, shape: tuple, what: str) -> np.ndarray:
     return out
 
 
-def _affine_patch(params: dict, chart: KahlerChart) -> tuple[Callable, np.ndarray, tuple]:
+def _affine_patch(params: dict) -> tuple[Callable, np.ndarray, tuple]:
     if "frame" in params:
         base = _finite_array(params["frame"], (4, DIM), "affine frame")
     else:
@@ -950,7 +951,7 @@ def _affine_patch(params: dict, chart: KahlerChart) -> tuple[Callable, np.ndarra
     return fmap, np.array([[-0.5, 0.5]] * 4), (False,) * 4
 
 
-def _complex_graph(params: dict, chart: KahlerChart):
+def _complex_graph(params: dict):
     a = float(params.get("a", 0.3))
     b = float(params.get("b", 0.2))
     c = float(params.get("c", 0.25))
@@ -972,7 +973,7 @@ def _complex_graph(params: dict, chart: KahlerChart):
     return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4
 
 
-def _lagrangian_graph(params: dict, chart: KahlerChart):
+def _lagrangian_graph(params: dict):
     amp = float(params.get("amp", 0.1))
     beta = float(params.get("beta", 0.5))
 
@@ -1015,7 +1016,7 @@ def _angle_sum_shift(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product_torus(params: dict, chart: KahlerChart):
+def _product_torus(params: dict):
     radii = _finite_array(params.get("radii", [1.0, 1.0, 1.0, 1.0]), (4,), "radii")
 
     def fmap(t):
@@ -1024,7 +1025,7 @@ def _product_torus(params: dict, chart: KahlerChart):
     return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
 
-def _perturbed_lagrangian_torus(params: dict, chart: KahlerChart):
+def _perturbed_lagrangian_torus(params: dict):
     r = float(params.get("r", 1.0))
     eps = float(params.get("eps", 0.05))
     # radii r_m with r_m^2 = r^2 + eps * d_m Psi, Psi = cos(phi1 + phi2):
@@ -1036,11 +1037,11 @@ def _perturbed_lagrangian_torus(params: dict, chart: KahlerChart):
     return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
 
-def _complex_torus(params: dict, chart: KahlerChart):
+def _complex_torus(params: dict):
     return _complex_plane, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
 
-def _fs_real_slice(params: dict, chart: KahlerChart):
+def _fs_real_slice(params: dict):
     def fmap(t):
         out = np.zeros(t.shape[:-1] + (DIM,))
         out[..., 0::2] = t
@@ -1049,11 +1050,11 @@ def _fs_real_slice(params: dict, chart: KahlerChart):
     return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4
 
 
-def _fs_complex_slice(params: dict, chart: KahlerChart):
+def _fs_complex_slice(params: dict):
     return _complex_plane, np.array([[-0.6, 0.6]] * 4), (False,) * 4
 
 
-def _fs_lagrangian_torus(params: dict, chart: KahlerChart):
+def _fs_lagrangian_torus(params: dict):
     # In moment coordinates mu_m = R_m^2 / (1 + sum R^2) the restriction of
     # the chart Kaehler form to a torus section R(phi) is the antisymmetric
     # part of d(mu_m) dphi_m, so sections with mu_m = kappa_m + eps * d_m Psi
@@ -1072,7 +1073,7 @@ def _fs_lagrangian_torus(params: dict, chart: KahlerChart):
     return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
 
 
-def _perturbed_real_slice(params: dict, chart: KahlerChart):
+def _perturbed_real_slice(params: dict):
     eps = float(params.get("eps", 0.05))
 
     def fmap(t):
@@ -1107,8 +1108,8 @@ def builtin_patch(name: str, params: dict | None = None,
         raise KeyError(f"unknown patch '{name}'; known: {sorted(BUILTIN_PATCHES)}")
     maker, default_chart = BUILTIN_PATCHES[name]
     if chart is None:
-        chart = flat_chart() if default_chart == "flat" else fubini_study_chart()
-    fmap, box, periodic = maker(params or {}, chart)
+        chart = CHARTS[default_chart]()
+    fmap, box, periodic = maker(params or {})
     return Patch(
         name=name, chart=chart, map_fn=fmap, box=box,
         grid_n=(9, 9, 9, 9) if grid_n is None else grid_n, periodic=periodic, fd_step=fd_step,
@@ -1125,13 +1126,9 @@ def patch_from_spec(spec: dict) -> Patch:
     if not isinstance(name, str):
         raise ValueError("name must be a string")
     chart_name = spec.get("ambient")
-    chart = None
-    if chart_name == "flat":
-        chart = flat_chart()
-    elif chart_name == "fubini-study":
-        chart = fubini_study_chart()
-    elif chart_name is not None:
+    if chart_name not in (None, *CHARTS):
         raise ValueError(f"unknown ambient chart '{chart_name}'")
+    chart = None if chart_name is None else CHARTS[chart_name]()
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("params must be an object")

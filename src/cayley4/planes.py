@@ -57,14 +57,12 @@ from .hermitian import (
     _component_major,
     complexify,
     omega0_values,
-    phi_values,
     realify,
     standard_structure,
 )
 
 __all__ = [
     "AngleReport",
-    "BOperator",
     "OmegaXi",
     "NearComplexError",
     "PartiallyComplexError",
@@ -75,7 +73,6 @@ __all__ = [
     "cayley_basis",
     "unitary_from_cayley",
     "omega_xi",
-    "calibration_value",
     "build_plane",
     "normalize_angle_pair",
     "random_unitary_basis",
@@ -116,13 +113,6 @@ class NotCayleyError(ValueError):
 
 
 @dataclass(frozen=True)
-class BOperator:
-    """Tangential part of J on a plane, as a matrix in the frame basis."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class OmegaXi:
     """Phase and value of the adapted complex volume form on a plane."""
 
@@ -155,13 +145,14 @@ class AngleReport:
         return out
 
 
-def b_operator(plane: OrientedPlane4) -> BOperator:
-    """B = (tangential projection) o J restricted to the plane.
+def b_operator(plane: OrientedPlane4) -> np.ndarray:
+    """B = (tangential projection) o J restricted to the plane, as a matrix
+    in the frame basis.
 
     Entry (i, j) is g(J frame_j, frame_i), so that matrix-vector products
     act on frame coordinates.
     """
-    return BOperator(matrix=restrict_matrix(standard_structure().j, plane.frame))
+    return restrict_matrix(standard_structure().j, plane.frame)
 
 
 def _omega_restriction(plane: OrientedPlane4) -> np.ndarray:
@@ -368,7 +359,7 @@ def is_cayley(plane: OrientedPlane4) -> tuple[bool, float | None]:
         return False, None
     c1, c2 = batch_kahler_cosines(plane.frame[None])
     lam = float(np.clip(0.5 * (c1[0] + c2[0]), 0.0, 1.0))
-    b = b_operator(plane).matrix
+    b = b_operator(plane)
     cross = float(np.linalg.norm(b @ b + lam * lam * np.eye(4)))
     if cross > max(100 * CAYLEY_TOL, 1e-8):
         raise RuntimeError(
@@ -430,15 +421,6 @@ def omega_xi(plane: OrientedPlane4) -> OmegaXi:
     alpha = float(-np.angle(det))
     value = float(np.sin(rep.theta1) * np.sin(rep.theta2))
     return OmegaXi(alpha=alpha, value=value)
-
-
-def calibration_value(plane: OrientedPlane4, alpha: float) -> float:
-    """Phi_alpha evaluated on the plane via the closed form.
-
-    For totally real planes this equals
-    cos(alpha - alpha_xi) sin(theta1) sin(theta2) + cos(theta1) cos(theta2).
-    """
-    return float(phi_values(plane.frame[None], alpha)[0])
 
 
 def random_unitary_basis(rng: np.random.Generator) -> np.ndarray:

@@ -74,7 +74,7 @@ def test_criterion_2_calibration_bound_and_comass():
     max_phi = float(phi.max())
     bound_ok = max_phi <= 1.0 + 1e-9
 
-    det = comass_detail(cayley_calibration(0.5).form,
+    det = comass_detail(cayley_calibration(0.5),
                         n_samples=100, refine_steps=400, seed=102)
     success = float(np.mean(det["final_values"] >= 1.0 - 1e-6))
     refine_ok = success >= 0.95
@@ -89,7 +89,7 @@ def _predicate_triple(frame):
     p_angle = abs(rep.theta1 - rep.theta2) <= 1e-8
     a = _omega_restriction(pl)
     p_star = float(np.linalg.norm(hodge_star_plane(a) - a)) <= 1e-10
-    b = b_operator(pl).matrix
+    b = b_operator(pl)
     bsq = b @ b
     lam_sq = float(np.clip(-np.trace(bsq) / 4.0, 0.0, 1.0))
     p_bsq = float(np.linalg.norm(bsq + lam_sq * np.eye(4))) <= 1e-9
@@ -124,7 +124,7 @@ def test_criterion_3_cayley_characterizations_agree():
 
 def test_criterion_4_phi_value_formula():
     rng = np.random.default_rng(104)
-    forms = [cayley_calibration(a).form for a in ALPHAS]
+    forms = [cayley_calibration(a) for a in ALPHAS]
     worst = 0.0
     for _ in range(1000):
         u = random_unitary_basis(rng)

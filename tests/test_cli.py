@@ -265,6 +265,8 @@ def test_bad_numeric_arguments_exit_2(argv, plane_file, capsys):
     {"name": "affine", "fd_step": -0.01},
     {"name": "affine", "fd_step": float("nan")},
     {"name": "affine", "grid": {"n": [1, 5, 5, 5]}},
+    # finite map and tangents (up to ~6e299) whose metric Gram matrix overflows
+    {"name": "complex-graph", "params": {"a": 1e300}},
 ])
 def test_bad_patch_spec_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -285,6 +287,8 @@ def test_bad_patch_spec_exits_2(spec, tmp_path, capsys):
     {"name": "affine", "fd_step": [0.01]},
     {"name": "complex-graph", "params": {"a": [0.3]}},
     {"name": "product-torus", "params": {"radii": [1, 2]}},
+    {"name": "affine", "ambient": "kahler"},
+    {"name": "affine", "ambient": ["flat"]},
 ])
 def test_malformed_patch_spec_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -336,6 +340,11 @@ def test_spec_path_applies_grid_and_ambient_overrides(tmp_path, monkeypatch):
     _run_json(["verify-patch", "--spec", str(spec)], tmp_path)
     assert seen["patch"].grid_n == (9, 9, 9, 9)
     assert seen["patch"].chart.name == "flat"
+    # --name is the spec {"name": ...}, overridden the same way
+    _run_json(["verify-patch", "--name", "product-torus", "--grid", "3", "3", "3", "3",
+               "--ambient", "fubini-study"], tmp_path)
+    assert seen["patch"].grid_n == (3, 3, 3, 3)
+    assert seen["patch"].chart.name == "fubini-study"
 
 
 def test_patch_leaving_its_chart_exits_2(tmp_path, capsys):
@@ -360,6 +369,33 @@ def test_rank_deficient_patch_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: patch map loses rank")
     assert err.count("\n") == 1
+
+
+def _check(report: dict, name: str) -> dict:
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
+def test_verify_patch_theorem_i_calibrated_passes(tmp_path):
+    rc, out = _run_json(["verify-patch", "--name", "affine", "--grid", "3", "3", "3", "3"],
+                        tmp_path)
+    assert rc == 0
+    check = _check(out, "theorem_i")
+    assert check["passed"] is True
+    assert check["branch"] == "calibrated"
+    assert check["calibration_defect"] <= 1e-6
+
+
+def test_verify_patch_theorem_ii_complex_passes_and_masks_gamma(tmp_path):
+    rc, out = _run_json(["verify-patch", "--name", "fs-complex-slice",
+                         "--grid", "3", "3", "3", "3"], tmp_path)
+    assert rc == 0
+    check = _check(out, "theorem_ii")
+    assert check["passed"] is True
+    assert check["preconditions_met"] is True
+    assert check["branch"] == "complex"
+    assert "note" not in check
+    assert _check(out, "gamma_masking")["passed"] is True
+    assert "gamma_variants_agree" not in [c["name"] for c in out["checks"]]
 
 
 def test_calls_in_one_process_share_the_parser_and_nothing_else(plane_file, tmp_path,

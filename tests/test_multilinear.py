@@ -14,7 +14,6 @@ from cayley4.multilinear import (
     interior_product,
     matrix_to_form,
     pfaffian4,
-    restrict_2form,
     wedge,
 )
 
@@ -162,12 +161,3 @@ def test_two_form_matrix_round_trip():
     f = random_form(2, rng)
     assert np.allclose(matrix_to_form(form_to_matrix(f)).coeffs, f.coeffs)
 
-
-def test_restriction_is_pullback():
-    rng = np.random.default_rng(16)
-    f = random_form(2, rng)
-    plane = OrientedPlane4.from_span(rng.standard_normal((4, 8)))
-    r = restrict_2form(f, plane)
-    m = form_to_matrix(f)
-    expect = plane.frame @ m @ plane.frame.T
-    assert np.allclose(r, expect, atol=1e-12)

@@ -276,6 +276,27 @@ def test_theorem_ii_guards():
     assert rep2.failed_precondition == "pointwise_cayley"
 
 
+def test_theorem_ii_needs_an_einstein_chart():
+    from test_ambient import _cp1_x_c3_chart
+
+    # CP^1 x C^3 is Kaehler but not Einstein: rho is 2 omega on one factor only
+    p = replace(builtin_patch("fs-real-slice", grid_n=(3, 3, 3, 3)), chart=_cp1_x_c3_chart())
+    rep = verify_theorem_ii(p)
+    assert not rep.preconditions_met
+    assert rep.failed_precondition == "einstein_chart"
+    assert rep.branch is None
+
+
+def test_theorem_ii_reports_a_violation():
+    # negative control: a minimal Cayley report with lambda strictly inside (0, 1)
+    p = builtin_patch("fs-complex-slice", grid_n=(3, 3, 3, 3))
+    rep = point_report(p, p.grid_points())
+    forged = replace(rep, lam=np.full_like(rep.lam, 0.5))
+    out = verify_theorem_ii(p, report=forged)
+    assert out.preconditions_met
+    assert out.branch == "violation"
+
+
 @pytest.mark.parametrize("verify, name", [(verify_theorem_i, "complex-graph"),
                                           (verify_theorem_i, "product-torus"),
                                           (verify_theorem_ii, "fs-complex-slice"),
@@ -403,6 +424,12 @@ def test_array_params_are_checked_when_the_patch_is_built(name, params):
 def test_periodic_axis_allows_a_single_point():
     pt = builtin_patch("product-torus", grid_n=(1, 1, 1, 1))
     assert pt.grid_points().shape == (1, 4)
+
+
+def test_periodic_axis_with_one_point_spans_the_box():
+    # a periodic axis divides by n, so n - 1 = 0 is never a divisor
+    pt = builtin_patch("product-torus", grid_n=(1, 1, 1, 1))
+    np.testing.assert_array_equal(pt.spacings(), np.full(4, 2.0 * np.pi))
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-2])

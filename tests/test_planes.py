@@ -13,7 +13,6 @@ from cayley4 import (
     b_operator,
     blade_distance,
     build_plane,
-    calibration_value,
     canonical_form,
     cayley_basis,
     haar_frames,
@@ -25,7 +24,7 @@ from cayley4 import (
     unitary_from_cayley,
 )
 from cayley4 import hermitian
-from cayley4.hermitian import _BLOCK, wirtinger_values
+from cayley4.hermitian import _BLOCK, phi_values, wirtinger_values
 from cayley4.multilinear import OrientedPlane4, restrict_matrix
 from cayley4.planes import (
     _canonical_rotation,
@@ -107,7 +106,7 @@ def test_round_trip_recovers_prescribed_angles():
 
 def test_b_operator_spectrum_and_norm():
     pl = build_plane(_real_axes(), 0.4, 1.2)
-    b = b_operator(pl).matrix
+    b = b_operator(pl)
     assert np.allclose(b, -b.T, atol=1e-12)
     ev = np.sort(np.linalg.eigvals(b).imag)
     want = np.sort([-np.cos(0.4), -np.cos(1.2), np.cos(1.2), np.cos(0.4)])
@@ -116,12 +115,12 @@ def test_b_operator_spectrum_and_norm():
 
 def test_b_squared_characterizes_cayley():
     pl = build_plane(_real_axes(), 0.7, 0.7)
-    b = b_operator(pl).matrix
+    b = b_operator(pl)
     lam = np.cos(0.7)
     assert np.linalg.norm(b @ b + lam * lam * np.eye(4)) < 1e-12
     # unequal angles leave a gap that scales with cos(t1) - cos(t2)
     pl2 = build_plane(_real_axes(), 0.4, 1.2)
-    b2 = b_operator(pl2).matrix
+    b2 = b_operator(pl2)
     lam2 = 0.5 * (np.cos(0.4) + np.cos(1.2))
     assert np.linalg.norm(b2 @ b2 + lam2 * lam2 * np.eye(4)) > 1e-2
 
@@ -197,10 +196,10 @@ def test_omega_xi_maximizes_calibration():
         t1, t2 = 0.5, 0.9
         pl = build_plane(u, t1, t2)
         ox = omega_xi(pl)
-        top = calibration_value(pl, ox.alpha)
+        top = phi_values(pl.frame[None], ox.alpha)[0]
         assert top == pytest.approx(np.cos(t1 - t2), abs=1e-10)
         for off in (0.5, 1.5, 3.0):
-            assert calibration_value(pl, ox.alpha + off) < top + 1e-12
+            assert phi_values(pl.frame[None], ox.alpha + off)[0] < top + 1e-12
 
 
 def test_anti_cayley_boundary_reverses_to_cayley():
