@@ -56,15 +56,18 @@ def jet(f: Callable, x: np.ndarray, h: float, second: bool = False):
         stacks += [xp[iu] + e[ju], xp[iu] - e[ju], xm[iu] + e[ju], xm[iu] - e[ju]]
     vals = f(np.concatenate(stacks))
     f0, fp, fm = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
-    grad = fp - fm
-    grad /= 2.0 * h
-    if not second:
-        return f0, _lead(grad, x, 1)
-    m = len(iu)
-    fpp, fpm, fmp, fmm = (vals[2 * n + 1 + k * m:2 * n + 1 + (k + 1) * m] for k in range(4))
-    hess = np.empty((n, n) + f0.shape)
-    hess[np.arange(n), np.arange(n)] = (fp - 2.0 * f0 + fm) / (h * h)
-    hess[iu, ju] = hess[ju, iu] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    # finite but huge values may overflow to inf: a result for the caller
+    # to test (as patches._point_geometry does), not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = fp - fm
+        grad /= 2.0 * h
+        if not second:
+            return f0, _lead(grad, x, 1)
+        m = len(iu)
+        fpp, fpm, fmp, fmm = (vals[2 * n + 1 + k * m:2 * n + 1 + (k + 1) * m] for k in range(4))
+        hess = np.empty((n, n) + f0.shape)
+        hess[np.arange(n), np.arange(n)] = (fp - 2.0 * f0 + fm) / (h * h)
+        hess[iu, ju] = hess[ju, iu] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     return f0, _lead(grad, x, 1), _lead(hess, x, 2)
 
 

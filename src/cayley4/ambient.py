@@ -18,8 +18,10 @@ sign is the one that makes the Fubini-Study chart Einstein with positive
 s (rho = (5/c) omega for the potential c log(1 + |z|^2)).  Christoffel
 symbols come from the Hermitian block by the Kaehler formula
 Gamma^l_ij = h^{l kbar} d_i h_{j kbar}, with d_i h one central difference
-(step H_METRIC), for every chart; both steps are module constants, and
-all stencils are those of `_fd`.
+(step H_METRIC); both steps are module constants, and all stencils are
+those of `_fd`.  The flat chart (KahlerChart.is_flat) differences
+nothing: its Hermitian block is the constant I/2, so its Christoffel
+symbols and Ricci form are exact zeros.
 
 Every point-level method takes a point (8,) or a stack of points
 (..., 8) and returns its result with the same leading axes; potentials
@@ -82,6 +84,12 @@ class KahlerChart:
     hermitian: Callable[[np.ndarray], np.ndarray]          # (..., 8) -> (..., 4, 4)
     radius: float | None = None
 
+    @property
+    def is_flat(self) -> bool:
+        """Whether this is the flat chart, whose Hermitian block is the
+        constant I/2: its metric is I and its connection and curvature vanish."""
+        return self.name == "flat"
+
     def check_inside(self, p: np.ndarray) -> None:
         p = np.asarray(p, dtype=float)
         if not np.isfinite(p).all():
@@ -122,8 +130,12 @@ class KahlerChart:
         is one central difference of the Hermitian block (step H_METRIC),
         on its real and imaginary parts, and Gamma is symmetrized in i, j,
         which the Kaehler condition d_i h_{j kbar} = d_j h_{i kbar} makes
-        exact in the limit.
+        exact in the limit.  On the flat chart Gamma is exactly zero, with
+        no stencil.
         """
+        if self.is_flat:
+            self.check_inside(p)
+            return np.zeros(np.shape(p)[:-1] + (DIM, DIM, DIM))
         # h (..., 4, 4) and dh[..., c, j, k] = d h_{j kbar} / d p_c, as real views
         hr, dhr = _fd.jet(
             lambda q: np.ascontiguousarray(self.hermitian_at(q), dtype=complex).view(float),
@@ -153,7 +165,11 @@ class KahlerChart:
         return logdet.real
 
     def ricci_form_at(self, p: np.ndarray) -> np.ndarray:
-        """Ricci form matrix rho(e_a, e_b) = -(i d dbar log det h)(e_a, e_b)."""
+        """Ricci form matrix rho(e_a, e_b) = -(i d dbar log det h)(e_a, e_b);
+        exactly zero, with no stencil, on the flat chart."""
+        if self.is_flat:
+            self.check_inside(p)
+            return np.zeros(np.shape(p)[:-1] + (DIM, DIM))
         hess = _fd.hessian(self.log_det_h, p, H_CURV)
         j = standard_structure().j
         ginv_part = 0.5 * (hess + j.T @ hess @ j)

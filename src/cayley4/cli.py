@@ -197,7 +197,7 @@ def _patch_from_args(args) -> patches.Patch:
 
 def _run_patch_checks(patch: patches.Patch, tol: float) -> list[dict]:
     checks: list[dict] = []
-    flat = patch.chart.name == "flat"
+    flat = patch.chart.is_flat
     probes = patch.probe_points(per_axis=2, shrink=0.5)
     rep = patches.point_report(patch, probes)
     cayley_tol = patches.default_cayley_tol(patch.fd_step)
@@ -280,7 +280,7 @@ def cmd_verify_patch(args) -> int:
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be finite and > 0, got {args.tol}")
     patch = _patch_from_args(args)
-    tol = args.tol if args.tol is not None else (1e-4 if patch.chart.name == "flat"
+    tol = args.tol if args.tol is not None else (1e-4 if patch.chart.is_flat
                                                  else 1e-3)
     try:
         checks = _run_patch_checks(patch, tol)

@@ -244,11 +244,18 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
                     second: bool = False) -> _PointGeometry:
     """Geometry at parameter points t (..., 4) from one map call on the
     stacked stencil: 9 points per parameter point, or 33 with second, whose
-    Hessian then feeds the second fundamental form."""
+    Hessian then feeds the second fundamental form.  On the flat chart the
+    metric g is I (a read-only view) and the model frame is the frame itself:
+    neither may be written in place."""
     t = np.asarray(t, dtype=float)
     p, tang, *sec = _fd.jet(patch.evaluate, t, h, second)
-    hmat = patch.chart.hermitian_at(p)
-    g = metric_from_hermitian(hmat)
+    flat = patch.chart.is_flat
+    if flat:
+        patch.chart.check_inside(p)
+        g = np.broadcast_to(np.eye(DIM), p.shape[:-1] + (DIM, DIM))
+    else:
+        hmat = patch.chart.hermitian_at(p)
+        g = metric_from_hermitian(hmat)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = restrict_matrix(g, tang)
     if not np.isfinite(gram).all():
@@ -260,9 +267,9 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
     except np.linalg.LinAlgError:
         raise RankError("dF loses rank at this point")
     frame, coeff = _gram_schmidt(tang, gram)
-    # v -> L.T @ complexify(v) is an isometry of the chart metric onto the model
-    l = np.linalg.cholesky(2.0 * hmat)
-    model = realify(complexify(frame) @ l)
+    # v -> L.T @ complexify(v), L = chol(2 h), is an isometry of the chart
+    # metric onto the model; on the flat chart L = I
+    model = frame if flat else realify(complexify(frame) @ np.linalg.cholesky(2.0 * hmat))
     st = standard_structure()
     omega = st.j.T @ g
     a = restrict_matrix(st.omega_mat, model)

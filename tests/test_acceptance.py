@@ -6,11 +6,9 @@ failing build green.
 """
 
 import numpy as np
-import pytest
 
 from cayley4 import (
     Blade4,
-    batch_kahler_cosines,
     b_operator,
     blade_distance,
     build_plane,
@@ -25,7 +23,6 @@ from cayley4 import (
     l2_lambda_invariant,
     normalize_angle_pair,
     omega_xi,
-    point_report,
     tangent_plane_at,
     verify_theorem_i,
     verify_theorem_ii,

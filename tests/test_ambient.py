@@ -237,8 +237,10 @@ def test_non_finite_points_are_rejected(bad):
     p = np.zeros(8)
     p[3] = bad
     for chart in (flat_chart(), fubini_study_chart()):
-        with pytest.raises(ValueError):
-            chart.hermitian_at(p)
+        for method in (chart.hermitian_at, chart.metric_at, chart.christoffel_at,
+                       chart.ricci_form_at):
+            with pytest.raises(ValueError):
+                method(p)
 
 
 def test_batched_chart_calls_match_per_point_calls():

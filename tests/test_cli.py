@@ -267,6 +267,8 @@ def test_bad_numeric_arguments_exit_2(argv, plane_file, capsys):
     {"name": "affine", "grid": {"n": [1, 5, 5, 5]}},
     # finite map and tangents (up to ~6e299) whose metric Gram matrix overflows
     {"name": "complex-graph", "params": {"a": 1e300}},
+    # second differences overflow too, which must not warn on stderr
+    {"name": "complex-graph", "params": {"a": 1e308}},
 ])
 def test_bad_patch_spec_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -586,6 +586,26 @@ def test_point_report_batch_matches_single_points(name):
     assert json.dumps(batch.to_json())           # undefined gamma rows are null
 
 
+@pytest.mark.parametrize("name", ["lagrangian-graph", "product-torus"])
+def test_flat_chart_matches_its_differencing_route(name):
+    """The flat chart's exact zeros, metric I and model frame give the same
+    results as differencing its constant Hermitian block, which a chart of
+    the same potential and block under another name does."""
+    flat = builtin_patch(name, grid_n=(3, 3, 3, 3))
+    ref = replace(flat, chart=replace(flat.chart, name="flat-by-differences"))
+    assert flat.chart.is_flat and not ref.chart.is_flat
+    probes = flat.probe_points(per_axis=2, shrink=0.5)
+    got, want = point_report(flat, probes), point_report(ref, probes)
+    for field in vars(want):
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+    got, want = gamma_form(flat, probes[:4]), gamma_form(ref, probes[:4])
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+    assert verify_theorem_iii(flat).residuals == verify_theorem_iii(ref).residuals
+    if all(flat.periodic):
+        assert l2_lambda_invariant(flat) == l2_lambda_invariant(ref)
+
+
 def test_row_only_map_is_rejected_with_one_line_error():
     lg = builtin_patch("lagrangian-graph")
     row_only = Patch(name="row-only", chart=lg.chart, box=lg.box,
