@@ -30,7 +30,6 @@ from .hermitian import (
 )
 from .planes import (
     AngleReport,
-    NearComplexError,
     NotCayleyError,
     PartiallyComplexError,
     batch_kahler_cosines,
@@ -42,7 +41,6 @@ from .planes import (
     normalize_angle_pair,
     omega_xi,
     random_unitary_basis,
-    unitary_from_cayley,
 )
 from .ambient import (
     ChartDomainError,
@@ -61,7 +59,6 @@ from .patches import (
     coclosure_residual,
     gamma_form,
     l2_lambda_invariant,
-    lambda_square_field,
     patch_from_spec,
     point_report,
     tangent_plane_at,

@@ -73,7 +73,6 @@ __all__ = [
     "verify_theorem_i",
     "verify_theorem_ii",
     "l2_lambda_invariant",
-    "lambda_square_field",
     "builtin_patch",
     "patch_from_spec",
     "BUILTIN_PATCHES",
@@ -266,6 +265,8 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
         np.linalg.cholesky(gram - RANK_TOL * RANK_TOL * np.eye(4))
     except np.linalg.LinAlgError:
         raise RankError("dF loses rank at this point")
+    if sec and not np.isfinite(sec[0]).all():
+        raise RankError("second derivatives of the map are not finite (d^2F overflows)")
     frame, coeff = _gram_schmidt(tang, gram)
     # v -> L.T @ complexify(v), L = chol(2 h), is an isometry of the chart
     # metric onto the model; on the flat chart L = I
@@ -903,67 +904,45 @@ def l2_lambda_invariant(patch: Patch) -> dict:
     }
 
 
-def lambda_square_field(patch: Patch) -> dict:
-    """Pointwise lambda^2 by two routes over the grid.
-
-    Route one extracts the angle cosines of the tangent plane; route two
-    divides the restricted squared Kaehler form by twice the volume
-    density.  For pointwise Cayley patches both give lambda^2 in [0, 1].
-    """
-    from_angles, dvol, pf = _lambda_sq_terms(patch, patch.grid_points())
-    from_pfaffian = pf / dvol
-    return {
-        "from_angles": from_angles,
-        "from_pfaffian": from_pfaffian,
-        "max_mismatch": float(np.max(np.abs(from_angles - from_pfaffian))),
-        "min_value": float(np.min(from_pfaffian)),
-        "max_value": float(np.max(from_pfaffian)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Built-in patch families
 # ---------------------------------------------------------------------------
 
-def _finite_array(value, shape: tuple, what: str) -> np.ndarray:
-    """value as a float array of the given shape with finite entries."""
+def _finite_array(value, shape: tuple, what: str) -> np.ndarray | float:
+    """value as a float array of the given shape with finite entries, or a
+    float when shape is (); bools and strings are not numbers."""
     try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        entries = np.asarray(value, dtype=object)
+        numbers = entries.shape == shape and all(
+            isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+            for x in entries.flat)
+        out = entries.astype(float) if numbers else None
+    except (ValueError, OverflowError):      # ragged nesting, an int beyond the doubles
         out = None
-    if out is None or out.shape != shape or not np.isfinite(out).all():
-        raise ValueError(f"{what} must be {' x '.join(map(str, shape))} finite numbers")
-    return out
+    if out is None or not np.isfinite(out).all():
+        raise ValueError(f"{what} must be {' x '.join(map(str, shape)) or 'a'} finite "
+                         f"number{'s' if shape else ''}")
+    return out if shape else float(out)
 
 
-def _affine_patch(params: dict) -> tuple[Callable, np.ndarray, tuple]:
-    if "frame" in params:
-        base = _finite_array(params["frame"], (4, DIM), "affine frame")
-    else:
+def _affine_patch(frame=None, theta1=0.5 * math.pi, theta2=None, offset=(0.0,) * DIM):
+    if frame is None:
         # default is the real-axes (special Lagrangian) plane
-        theta1 = float(params.get("theta1", 0.5 * math.pi))
-        theta2 = float(params.get("theta2", theta1))
         from .planes import build_plane
         u = realify(np.eye(4, dtype=complex))
-        base = build_plane(u, theta1, theta2).frame
-    offset = _finite_array(params.get("offset", np.zeros(DIM)), (DIM,), "affine offset")
+        frame = build_plane(u, theta1, theta1 if theta2 is None else theta2).frame
 
     def fmap(t):
         # summed term by term so that every row rounds the same way
-        out = offset + t[..., 0, None] * base[0]
+        out = offset + t[..., 0, None] * frame[0]
         for i in range(1, 4):
-            out = out + t[..., i, None] * base[i]
+            out = out + t[..., i, None] * frame[i]
         return out
 
-    return fmap, np.array([[-0.5, 0.5]] * 4), (False,) * 4
+    return fmap
 
 
-def _complex_graph(params: dict):
-    a = float(params.get("a", 0.3))
-    b = float(params.get("b", 0.2))
-    c = float(params.get("c", 0.25))
-    d = float(params.get("d", 0.15))
-
+def _complex_graph(a=0.3, b=0.2, c=0.25, d=0.15):
     def term(coef, u, v):
         # coef * u * v in real arithmetic: complex array products may fuse
         # multiply-adds, which would round rows of a stack differently
@@ -977,13 +956,10 @@ def _complex_graph(params: dict):
         z4 = [p + q for p, q in zip(term(c, z2, z2), term(d, z1, z2))]
         return np.stack([*z1, *z2, *z3, *z4], axis=-1)
 
-    return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4
+    return fmap
 
 
-def _lagrangian_graph(params: dict):
-    amp = float(params.get("amp", 0.1))
-    beta = float(params.get("beta", 0.5))
-
+def _lagrangian_graph(amp=0.1, beta=0.5):
     def grad_f(t):
         s = np.sum(t * t, axis=-1, keepdims=True)
         g = 4.0 * amp * s * t
@@ -998,7 +974,7 @@ def _lagrangian_graph(params: dict):
         out[..., 1::2] = grad_f(t)
         return out
 
-    return fmap, np.array([[-0.5, 0.5]] * 4), (False,) * 4
+    return fmap
 
 
 def _circles(radii: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -1006,6 +982,13 @@ def _circles(radii: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.empty(t.shape[:-1] + (DIM,))
     out[..., 0::2] = radii * np.cos(t)
     out[..., 1::2] = radii * np.sin(t)
+    return out
+
+
+def _real_plane(t: np.ndarray) -> np.ndarray:
+    """The real coordinate 4-plane R^4, t at the real parts."""
+    out = np.zeros(t.shape[:-1] + (DIM,))
+    out[..., 0::2] = t
     return out
 
 
@@ -1023,53 +1006,30 @@ def _angle_sum_shift(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product_torus(params: dict):
-    radii = _finite_array(params.get("radii", [1.0, 1.0, 1.0, 1.0]), (4,), "radii")
-
+def _product_torus(radii=(1.0, 1.0, 1.0, 1.0)):
     def fmap(t):
         return _circles(radii, t)
 
-    return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
+    return fmap
 
 
-def _perturbed_lagrangian_torus(params: dict):
-    r = float(params.get("r", 1.0))
-    eps = float(params.get("eps", 0.05))
+def _perturbed_lagrangian_torus(r=1.0, eps=0.05):
     # radii r_m with r_m^2 = r^2 + eps * d_m Psi, Psi = cos(phi1 + phi2):
     # the 1-form sum r_m^2 dphi_m stays closed, so the torus stays Lagrangian.
 
     def fmap(t):
         return _circles(np.sqrt(r * r + eps * _angle_sum_shift(t)), t)
 
-    return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
+    return fmap
 
 
-def _complex_torus(params: dict):
-    return _complex_plane, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
-
-
-def _fs_real_slice(params: dict):
-    def fmap(t):
-        out = np.zeros(t.shape[:-1] + (DIM,))
-        out[..., 0::2] = t
-        return out
-
-    return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4
-
-
-def _fs_complex_slice(params: dict):
-    return _complex_plane, np.array([[-0.6, 0.6]] * 4), (False,) * 4
-
-
-def _fs_lagrangian_torus(params: dict):
+def _fs_lagrangian_torus(kappa=(0.08, 0.1, 0.12, 0.09), eps=0.02):
     # In moment coordinates mu_m = R_m^2 / (1 + sum R^2) the restriction of
     # the chart Kaehler form to a torus section R(phi) is the antisymmetric
     # part of d(mu_m) dphi_m, so sections with mu_m = kappa_m + eps * d_m Psi
     # (a closed perturbation) are exactly Lagrangian.  eps = 0 gives the
     # product torus; eps > 0 couples the angles, which keeps finite
     # differences honest.
-    kappa = _finite_array(params.get("kappa", [0.08, 0.1, 0.12, 0.09]), (4,), "kappa")
-    eps = float(params.get("eps", 0.02))
 
     def fmap(t):
         mu = kappa + eps * _angle_sum_shift(t)
@@ -1077,33 +1037,38 @@ def _fs_lagrangian_torus(params: dict):
         with np.errstate(invalid="ignore", divide="ignore"):
             return _circles(np.sqrt(mu / (1.0 - np.sum(mu, axis=-1, keepdims=True))), t)
 
-    return fmap, np.array([[0.0, 2.0 * np.pi]] * 4), (True,) * 4
+    return fmap
 
 
-def _perturbed_real_slice(params: dict):
-    eps = float(params.get("eps", 0.05))
-
+def _perturbed_real_slice(eps=0.05):
     def fmap(t):
-        out = np.zeros(t.shape[:-1] + (DIM,))
-        out[..., 0::2] = t
+        out = _real_plane(t)
         out[..., 1] = eps * np.sin(t[..., 1]) * np.cos(t[..., 2])
         out[..., 3] = eps * np.sin(t[..., 2] + t[..., 3])
         return out
 
-    return fmap, np.array([[-0.6, 0.6]] * 4), (False,) * 4
+    return fmap
 
 
+# One row per builtin: (maker, default chart, axis box [lo, hi], periodic,
+# parameter shapes).  maker(**params) gives the map, its keyword defaults
+# are the parameter defaults, and a shape () is a number.  Every axis has
+# the same box and periodicity.
+_OPEN5, _OPEN6, _TORUS = (-0.5, 0.5), (-0.6, 0.6), (0.0, 2.0 * math.pi)
 BUILTIN_PATCHES = {
-    "affine": (_affine_patch, "flat"),
-    "complex-graph": (_complex_graph, "flat"),
-    "lagrangian-graph": (_lagrangian_graph, "flat"),
-    "product-torus": (_product_torus, "flat"),
-    "perturbed-lagrangian-torus": (_perturbed_lagrangian_torus, "flat"),
-    "complex-torus": (_complex_torus, "flat"),
-    "fs-real-slice": (_fs_real_slice, "fubini-study"),
-    "fs-complex-slice": (_fs_complex_slice, "fubini-study"),
-    "fs-lagrangian-torus": (_fs_lagrangian_torus, "fubini-study"),
-    "perturbed-real-slice": (_perturbed_real_slice, "fubini-study"),
+    "affine": (_affine_patch, "flat", _OPEN5, False,
+               {"frame": (4, DIM), "theta1": (), "theta2": (), "offset": (DIM,)}),
+    "complex-graph": (_complex_graph, "flat", _OPEN6, False, dict.fromkeys("abcd", ())),
+    "lagrangian-graph": (_lagrangian_graph, "flat", _OPEN5, False, {"amp": (), "beta": ()}),
+    "product-torus": (_product_torus, "flat", _TORUS, True, {"radii": (4,)}),
+    "perturbed-lagrangian-torus": (_perturbed_lagrangian_torus, "flat", _TORUS, True,
+                                   {"r": (), "eps": ()}),
+    "complex-torus": (lambda: _complex_plane, "flat", _TORUS, True, {}),
+    "fs-real-slice": (lambda: _real_plane, "fubini-study", _OPEN6, False, {}),
+    "fs-complex-slice": (lambda: _complex_plane, "fubini-study", _OPEN6, False, {}),
+    "fs-lagrangian-torus": (_fs_lagrangian_torus, "fubini-study", _TORUS, True,
+                            {"kappa": (4,), "eps": ()}),
+    "perturbed-real-slice": (_perturbed_real_slice, "fubini-study", _OPEN6, False, {"eps": ()}),
 }
 
 
@@ -1111,15 +1076,23 @@ def builtin_patch(name: str, params: dict | None = None,
                   chart: KahlerChart | None = None,
                   grid_n: tuple[int, int, int, int] | None = None,
                   fd_step: float = FD_STEP) -> Patch:
+    """The builtin patch of that name; params are checked against its
+    row of BUILTIN_PATCHES before the map is made."""
     if name not in BUILTIN_PATCHES:
         raise KeyError(f"unknown patch '{name}'; known: {sorted(BUILTIN_PATCHES)}")
-    maker, default_chart = BUILTIN_PATCHES[name]
-    if chart is None:
-        chart = CHARTS[default_chart]()
-    fmap, box, periodic = maker(params or {})
+    maker, chart_name, box, periodic, shapes = BUILTIN_PATCHES[name]
+    values = {}
+    for key, value in (params or {}).items():
+        if key not in shapes:
+            raise ValueError(f"unknown parameter {key!r} of patch '{name}'; "
+                             f"known: {sorted(shapes)}")
+        values[key] = _finite_array(value, shapes[key],
+                                    f"parameter {key!r} of patch '{name}'")
     return Patch(
-        name=name, chart=chart, map_fn=fmap, box=box,
-        grid_n=(9, 9, 9, 9) if grid_n is None else grid_n, periodic=periodic, fd_step=fd_step,
+        name=name, chart=CHARTS[chart_name]() if chart is None else chart,
+        map_fn=maker(**values), box=np.array([box] * 4),
+        grid_n=(9, 9, 9, 9) if grid_n is None else grid_n, periodic=(periodic,) * 4,
+        fd_step=fd_step,
     )
 
 
@@ -1143,7 +1116,5 @@ def patch_from_spec(spec: dict) -> Patch:
     if not isinstance(grid, dict) or not isinstance(grid.get("n", []), list):
         raise ValueError('grid must be an object {"n": [4 integers]}')
     grid_n = tuple(grid.get("n", (9, 9, 9, 9)))
-    try:
-        return builtin_patch(name, params, chart, grid_n, float(spec.get("fd_step", FD_STEP)))
-    except TypeError as exc:               # a list or an object where a number belongs
-        raise ValueError(str(exc)) from exc
+    fd_step = _finite_array(spec.get("fd_step", FD_STEP), (), "fd_step")
+    return builtin_patch(name, params, chart, grid_n, fd_step)

@@ -64,14 +64,12 @@ from .hermitian import (
 __all__ = [
     "AngleReport",
     "OmegaXi",
-    "NearComplexError",
     "PartiallyComplexError",
     "NotCayleyError",
     "b_operator",
     "canonical_form",
     "is_cayley",
     "cayley_basis",
-    "unitary_from_cayley",
     "omega_xi",
     "build_plane",
     "normalize_angle_pair",
@@ -90,18 +88,11 @@ Classification = Literal[
 # sin(theta) below this counts as a degenerate (complex) factor.
 DEGENERATE_SIN = 1e-8
 
-# Planes with lambda >= 1 - NEAR_COMPLEX_GUARD have no usable unitary gauge.
-NEAR_COMPLEX_GUARD = 1e-8
-
 # Angle gaps, Lagrangian cosines and self-duality defects up to this are 0.
 CAYLEY_TOL = 1e-10
 
 # Singular values of a restricted Kaehler form up to this count as 0.
 SIGMA_FLOOR = 1e-12
-
-
-class NearComplexError(ValueError):
-    """Raised when a construction needs sin(theta) bounded away from 0."""
 
 
 class PartiallyComplexError(ValueError):
@@ -393,17 +384,6 @@ def unitary_gauge(frame: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     s = np.sqrt(1.0 - lam * lam)
     u = frame.copy()
     u[..., 1::2, :] = (frame[..., 1::2, :] - lam * (frame[..., 0::2, :] @ j.T)) / s
-    return u
-
-
-def unitary_from_cayley(frame: np.ndarray, lam: float) -> np.ndarray:
-    """Unitary basis from a Cayley frame: u_{2k} = (e_{2k} - lam J e_{2k-1}) / s."""
-    if lam >= 1.0 - NEAR_COMPLEX_GUARD:
-        raise NearComplexError("near_complex: no unitary gauge at lambda ~ 1")
-    u = unitary_gauge(np.asarray(frame, dtype=float), lam)
-    dev = _unitary_gram_dev(u)
-    if dev > 1e-10:
-        raise ValueError(f"input is not a Cayley frame: unitarity deviation {dev:.3e}")
     return u
 
 

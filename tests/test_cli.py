@@ -269,6 +269,8 @@ def test_bad_numeric_arguments_exit_2(argv, plane_file, capsys):
     {"name": "complex-graph", "params": {"a": 1e300}},
     # second differences overflow too, which must not warn on stderr
     {"name": "complex-graph", "params": {"a": 1e308}},
+    # finite map and tangents whose second differences overflow (2 F(t) does)
+    {"name": "affine", "params": {"offset": [0, 9e307, 0, 0, 0, 0, 0, 0]}},
 ])
 def test_bad_patch_spec_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -291,6 +293,16 @@ def test_bad_patch_spec_exits_2(spec, tmp_path, capsys):
     {"name": "product-torus", "params": {"radii": [1, 2]}},
     {"name": "affine", "ambient": "kahler"},
     {"name": "affine", "ambient": ["flat"]},
+    {"name": "affine", "params": {"thet1": 0.3}},
+    {"name": "complex-torus", "params": {"r": 5}},
+    {"name": "complex-graph", "params": {"a": "0.3"}},
+    {"name": "complex-graph", "params": {"a": True}},
+    {"name": "affine", "params": {"offset": [0, 0, 0, 0, 0, 0, 0, True]}},
+    {"name": "affine", "params": {"theta1": 1e400}},      # inf, written Infinity
+    {"name": "lagrangian-graph", "params": {"amp": float("inf")}},
+    {"name": "affine", "params": {"theta1": 10 ** 400}},   # an integer beyond the doubles
+    {"name": "affine", "fd_step": "0.01"},
+    {"name": "affine", "fd_step": True},
 ])
 def test_malformed_patch_spec_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -14,12 +14,12 @@ from cayley4.patches import (
     Patch,
     RankError,
     UnitaryFrameField,
+    _lambda_sq_terms,
     _point_geometry,
     builtin_patch,
     coclosure_residual,
     gamma_form,
     l2_lambda_invariant,
-    lambda_square_field,
     patch_from_spec,
     point_report,
     tangent_plane_at,
@@ -366,18 +366,24 @@ def test_l2_lambda_invariant_needs_periodic_patch():
         l2_lambda_invariant(lg)
 
 
+def _lambda_sq_by_two_routes(patch):
+    """lambda^2 from the angle cosines and as Pf / dvol, over the grid."""
+    from_angles, dvol, pf = _lambda_sq_terms(patch, patch.grid_points())
+    return from_angles, pf / dvol
+
+
 def test_lambda_square_field_consistency():
     af = builtin_patch("affine", params={"theta1": 0.9, "theta2": 0.9},
                        grid_n=(4, 4, 4, 4))
-    out = lambda_square_field(af)
-    assert out["max_mismatch"] < 1e-10
-    assert out["min_value"] == pytest.approx(np.cos(0.9) ** 2, abs=1e-10)
-    assert out["max_value"] == pytest.approx(np.cos(0.9) ** 2, abs=1e-10)
+    from_angles, from_pfaffian = _lambda_sq_by_two_routes(af)
+    assert np.max(np.abs(from_angles - from_pfaffian)) < 1e-10
+    assert np.min(from_pfaffian) == pytest.approx(np.cos(0.9) ** 2, abs=1e-10)
+    assert np.max(from_pfaffian) == pytest.approx(np.cos(0.9) ** 2, abs=1e-10)
 
     ct = builtin_patch("complex-torus", grid_n=(4, 4, 4, 4))
-    out_c = lambda_square_field(ct)
-    assert out_c["min_value"] == pytest.approx(1.0, abs=1e-10)
-    assert out_c["max_mismatch"] < 1e-8
+    from_angles, from_pfaffian = _lambda_sq_by_two_routes(ct)
+    assert np.min(from_pfaffian) == pytest.approx(1.0, abs=1e-10)
+    assert np.max(np.abs(from_angles - from_pfaffian)) < 1e-8
 
 
 # ------------------------------------------------------------ bad input

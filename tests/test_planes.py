@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley4 import (
-    NearComplexError,
     NotCayleyError,
     PartiallyComplexError,
     batch_kahler_cosines,
@@ -21,7 +20,6 @@ from cayley4 import (
     omega_xi,
     realify,
     standard_structure,
-    unitary_from_cayley,
 )
 from cayley4 import hermitian
 from cayley4.hermitian import _BLOCK, phi_values, wirtinger_values
@@ -31,6 +29,7 @@ from cayley4.planes import (
     _normal_gram,
     _split,
     random_unitary_basis,
+    unitary_gauge,
 )
 
 
@@ -150,15 +149,10 @@ def test_unitary_from_cayley_round_trip():
     u = random_unitary_basis(rng)
     pl = build_plane(u, theta, theta)
     cb = cayley_basis(pl)
-    ub = unitary_from_cayley(cb, np.cos(theta))
+    ub = unitary_gauge(cb, np.cos(theta))
     rebuilt = build_plane(ub, theta, theta)
     d = min(blade_distance(pl, rebuilt), blade_distance(pl.reversed(), rebuilt))
     assert d < 1e-9
-
-
-def test_near_complex_gauge_rejected():
-    with pytest.raises(NearComplexError):
-        unitary_from_cayley(_real_axes(), 1.0 - 1e-9)
 
 
 def test_cayley_basis_rejects_non_cayley():

@@ -39,3 +39,17 @@ def test_readme_signature_list_matches_the_code():
         actual = [(p.name,) if p.default is p.empty else (p.name, p.default)
                   for p in inspect.signature(target).parameters.values() if p.name != "self"]
         assert documented == actual, name
+
+
+def test_builtin_table_matches_the_code():
+    table_of_code = cayley4.patches.BUILTIN_PATCHES
+    text = README.read_text()
+    start = text.index("## Built-in patches")
+    table = text[start:text.index("\n\n", text.index("|", start))]
+    rows = re.findall(r"^\| `([\w-]+)` \| ([\w-]+) \| (.*) \|$", table, flags=re.M)
+    assert sorted(name for name, _, _ in rows) == sorted(table_of_code)
+    for name, chart, description in rows:
+        _, default_chart, _, _, shapes = table_of_code[name]
+        assert chart == default_chart, name
+        for param in shapes:
+            assert f"`{param}`" in description, (name, param)
