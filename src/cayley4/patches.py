@@ -28,9 +28,10 @@ derivative stencil calls it once on all of its points, and grid-wide
 checks run CHUNK points per batch to bound memory.  gamma_form computes
 the geometry of its points once, a batch at a time; the frame transport
 moves all of its targets in lockstep, and each axis leg is one geometry
-batch over the distinct path prefixes of the targets; Theorem III
-evaluates all probes of a step-halving level in one pass, and the Ricci
-form at the probes once per run.
+batch over the distinct path prefixes of the targets, carried as one
+product of 4 x 4 transfer maps; Theorem III evaluates all probes of a
+step-halving level in one pass, reads variant-A gamma from the kernel of
+gamma_form, and the Ricci form at the probes once per run.
 
 All finite differencing is central (the `_fd` stencils) with the patch's
 fd_step, its only step: dataclasses.replace(patch, fd_step=h) gives the
@@ -46,7 +47,7 @@ written as null in JSON reports.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -211,20 +212,25 @@ def _gram_schmidt(vectors: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np
 
 @dataclass
 class _PointGeometry:
-    """Geometry at parameter points; every field leads with the axes of t."""
+    """Geometry at parameter points; every field leads with the axes of t.
+
+    _tangent_frames fills the tangent frames (the fields up to sec) and
+    _point_geometry adds the Kaehler angles of the tangent planes.
+    """
     t: np.ndarray
     p: np.ndarray
     tangents: np.ndarray          # (..., 4, 8) coordinate tangents dF/dt_i
     g: np.ndarray
-    omega: np.ndarray             # omega matrix at p
+    hermitian: np.ndarray | None  # Hermitian block of the chart at p; None on the flat chart
     frame: np.ndarray             # (..., 4, 8) g-orthonormal tangent frame
     gs_coeff: np.ndarray          # frame = gs_coeff @ tangents
-    model_frame: np.ndarray       # same frame in the flat model
-    cos1: np.ndarray
-    cos2: np.ndarray
-    lam: np.ndarray
-    cayley_dev: np.ndarray        # ||*omega|_xi - omega|_xi||_F in the model
     sec: np.ndarray | None        # (..., 4, 4, 8) second derivatives, if asked for
+    omega: np.ndarray | None = None         # omega matrix at p
+    model_frame: np.ndarray | None = None   # same frame in the flat model
+    cos1: np.ndarray | None = None
+    cos2: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    cayley_dev: np.ndarray | None = None    # ||*omega|_xi - omega|_xi||_F in the model
 
     def __getitem__(self, k) -> "_PointGeometry":
         return _PointGeometry(**{n: v if v is None else v[k] for n, v in vars(self).items()})
@@ -239,17 +245,16 @@ class _PointGeometry:
         return w - self.tangential(w)
 
 
-def _point_geometry(patch: Patch, t: np.ndarray, h: float,
+def _tangent_frames(patch: Patch, t: np.ndarray, h: float,
                     second: bool = False) -> _PointGeometry:
-    """Geometry at parameter points t (..., 4) from one map call on the
-    stacked stencil: 9 points per parameter point, or 33 with second, whose
-    Hessian then feeds the second fundamental form.  On the flat chart the
-    metric g is I (a read-only view) and the model frame is the frame itself:
-    neither may be written in place."""
+    """Tangents, metric and g-orthonormal tangent frames at parameter points
+    t (..., 4) from one map call on the stacked stencil: 9 points per
+    parameter point, or 33 with second.  On the flat chart the metric g is
+    I (a read-only view)."""
     t = np.asarray(t, dtype=float)
     p, tang, *sec = _fd.jet(patch.evaluate, t, h, second)
-    flat = patch.chart.is_flat
-    if flat:
+    hmat = None
+    if patch.chart.is_flat:
         patch.chart.check_inside(p)
         g = np.broadcast_to(np.eye(DIM), p.shape[:-1] + (DIM, DIM))
     else:
@@ -268,19 +273,28 @@ def _point_geometry(patch: Patch, t: np.ndarray, h: float,
     if sec and not np.isfinite(sec[0]).all():
         raise RankError("second derivatives of the map are not finite (d^2F overflows)")
     frame, coeff = _gram_schmidt(tang, gram)
+    return _PointGeometry(t=t, p=p, tangents=tang, g=g, hermitian=hmat, frame=frame,
+                          gs_coeff=coeff, sec=sec[0] if sec else None)
+
+
+def _point_geometry(patch: Patch, t: np.ndarray, h: float,
+                    second: bool = False) -> _PointGeometry:
+    """The tangent frames of _tangent_frames at parameter points t (..., 4),
+    whose Hessian with second feeds the second fundamental form, and the
+    Kaehler angles of the tangent planes.  On the flat chart the model frame
+    is the frame itself: neither it nor g may be written in place."""
+    geo = _tangent_frames(patch, t, h, second)
     # v -> L.T @ complexify(v), L = chol(2 h), is an isometry of the chart
     # metric onto the model; on the flat chart L = I
-    model = frame if flat else realify(complexify(frame) @ np.linalg.cholesky(2.0 * hmat))
+    model = geo.frame if geo.hermitian is None else realify(
+        complexify(geo.frame) @ np.linalg.cholesky(2.0 * geo.hermitian))
     st = standard_structure()
-    omega = st.j.T @ g
     a = restrict_matrix(st.omega_mat, model)
     c1, c2 = batch_kahler_cosines(model)
-    dev = np.linalg.norm(hodge_star_plane(a) - a, axis=(-2, -1))
-    return _PointGeometry(
-        t=t, p=p, tangents=tang, g=g, omega=omega, frame=frame, gs_coeff=coeff,
-        model_frame=model, cos1=c1, cos2=c2, lam=0.5 * (c1 + c2), cayley_dev=dev,
-        sec=sec[0] if sec else None,
-    )
+    geo.omega = st.j.T @ geo.g
+    geo.model_frame, geo.cos1, geo.cos2, geo.lam = model, c1, c2, 0.5 * (c1 + c2)
+    geo.cayley_dev = np.linalg.norm(hodge_star_plane(a) - a, axis=(-2, -1))
+    return geo
 
 
 @dataclass(frozen=True)
@@ -319,15 +333,18 @@ class PointReport:
 
 def _second_fundamental(patch: Patch, geo: _PointGeometry):
     """(h-tensor in the orthonormal frame, nabla and h of coordinate fields,
-    Christoffel symbols at the points); geo must carry second derivatives."""
+    Christoffel symbols at the points); geo must carry second derivatives.
+    On the flat chart the symbols are exact zeros and nabla is the Hessian."""
     gamma_chr = patch.chart.christoffel_at(geo.p)
     tang = geo.tangents
     lead = tang.shape[:-2]
-    # Gamma(d_i F, d_j F)^a as batched matrix products:
-    # half[a, b, j] = Gamma^a_bc T[j, c], then [a, i, j] = T[i, b] half[a, b, j]
-    half = gamma_chr.reshape(lead + (DIM * DIM, DIM)) @ np.swapaxes(tang, -1, -2)
-    corr = tang[..., None, :, :] @ half.reshape(lead + (DIM, DIM, 4))
-    nab = geo.sec + np.moveaxis(corr, -3, -1)
+    nab = geo.sec
+    if not patch.chart.is_flat:
+        # Gamma(d_i F, d_j F)^a as batched matrix products:
+        # half[a, b, j] = Gamma^a_bc T[j, c], then [a, i, j] = T[i, b] half[a, b, j]
+        half = gamma_chr.reshape(lead + (DIM * DIM, DIM)) @ np.swapaxes(tang, -1, -2)
+        corr = tang[..., None, :, :] @ half.reshape(lead + (DIM, DIM, 4))
+        nab = nab + np.moveaxis(corr, -3, -1)
     ii = geo.normal(nab)
     # h[a, b] = C[a, i] C[b, j] ii[i, j]
     rows = (geo.gs_coeff @ ii.reshape(lead + (4, 4 * DIM))).reshape(ii.shape)
@@ -345,6 +362,14 @@ def _gamma_a(geo: _PointGeometry, mean: np.ndarray) -> np.ndarray:
     points, (n, 4); NaN rows where lambda is too close to 1."""
     denom = np.where(geo.lam <= 1.0 - LAMBDA_GUARD, geo.lam * geo.lam - 1.0, np.nan)
     return np.einsum("nia,nab,nb->ni", geo.tangents, geo.omega, mean) / denom[:, None]
+
+
+def _variant_a(patch: Patch, t: np.ndarray, h: float):
+    """(geometry with second derivatives, Christoffel symbols, variant-A
+    gamma) at a stack of n parameter points t (n, 4), with step h."""
+    geo = _point_geometry(patch, t, h, second=True)
+    h_frame, _, _, gamma_chr = _second_fundamental(patch, geo)
+    return geo, gamma_chr, _gamma_a(geo, _mean(h_frame))
 
 
 def tangent_plane_at(patch: Patch, t: np.ndarray) -> OrientedPlane4:
@@ -407,18 +432,24 @@ class UnitaryFrameField:
 
     The seed frame comes from the canonical form at the anchor, the centre
     of the parameter box, which must be Cayley within the patch's Cayley
-    tolerance (default_cayley_tol).  Moving to a neighbouring parameter
-    point, e1 and e3 are projected onto the new tangent space and
-    re-orthonormalized; for lambda bounded away from 0 their j-partners are
+    tolerance (default_cayley_tol).  Paths are axis-ordered with
+    FRAME_STEPS steps per axis, so the frame depends smoothly on the target
+    point.  Each step projects e1 and e3 onto the new tangent space and
+    re-orthonormalizes; for lambda bounded away from 0 their j-partners are
     regenerated through j = B / lambda, otherwise (Lagrangian regime) a
     plain metric Gram-Schmidt is used, which is a valid adapted frame when
-    the restricted Kaehler form vanishes.  Paths are axis-ordered with
-    FRAME_STEPS steps per axis, so the frame depends smoothly on the target
-    point.  All targets of a call move in lockstep.  Leg a of a path
-    depends only on the target's coordinates 0..a, so each axis leg is one
-    geometry batch over the distinct prefixes of the targets (the last one
-    also holds the targets), and each step re-orthonormalizes one frame
-    per prefix.  Stencils use the patch's fd_step.
+    the restricted Kaehler form vanishes.  A leg carries the frame as the
+    product of the 4 x 4 transfer maps K_s = F_{s-1} g_s F_s^T between the
+    g-orthonormal tangent frames F_s of consecutive steps, normalized once
+    at the leg's end.  In the Lagrangian regime that is the Gram-Schmidt of
+    the whole product, which is exact because Gram-Schmidt commutes with the
+    lower-triangular factors of the per-step re-orthonormalizations, and the
+    leg needs only tangent frames and metrics; lambda is then computed at the
+    targets alone.  Otherwise e1 is the normalized prefix product and e3 the
+    product of the per-step projections away from e1 and e2.  All targets of
+    a call move in lockstep.  Leg a of a path depends only on the target's
+    coordinates 0..a, so each axis leg is one geometry batch over the
+    distinct prefixes of the targets.  Stencils use the patch's fd_step.
     """
 
     def __init__(self, patch: Patch, gauge: float = 0.0):
@@ -433,36 +464,45 @@ class UnitaryFrameField:
         # canonical tangent frame back in chart coordinates; model_frame rows
         # are orthonormal, so the coefficient matrix is a plain projection
         coords = rep.canonical_tangent_frame @ geo.model_frame.T
-        self._seed = self._orthonormalize(coords @ geo.frame, geo)
+        self._seed = self._carry((coords @ geo.frame)[None], geo[None, None])[0]
 
-    def _orthonormalize(self, frame: np.ndarray, geo: _PointGeometry) -> np.ndarray:
-        """Re-orthonormalize frames (..., 4, 8) at the points of geo."""
+    def _carry(self, frame: np.ndarray, steps: _PointGeometry) -> np.ndarray:
+        """Frames (n, 4, 8) carried through the steps (S, n) of a leg: each
+        step projects onto the step's tangent space, and the result is
+        normalized once, at the last step."""
+        e = steps.frame
+        # k[s] = F_{s-1} g_s F_s^T takes coefficients on the frame of step
+        # s - 1 to coefficients on that of step s; k[0] holds the incoming
+        # frames projected onto step 0, as coefficients on its frame
+        k = np.concatenate([frame[None], e[:-1]]) @ np.swapaxes(e @ steps.g, -1, -2)
         if self.lagrangian_mode:
-            v = geo.tangential(frame)
-            return _gram_schmidt(v, restrict_matrix(geo.g, v))[0]
-        if np.any(geo.lam < 0.01):
+            m = k[0]
+            for ks in k[1:]:
+                m = m @ ks
+            v = m @ e[-1]
+            return _gram_schmidt(v, restrict_matrix(steps.g[-1], v))[0]
+        if np.any(steps.lam < 0.01):
             raise ValueError("lambda dropped below the Cayley-frame regime")
-        j = standard_structure().j
-        lam = geo.lam[..., None]
-
-        def norm(v):
-            return np.sqrt(_vmv(v, geo.g, v))[..., None]
-
-        def jop(v):
-            return geo.tangential(v @ j.T) / lam
-
-        e1 = geo.tangential(frame[..., 0, :])
-        e1 /= norm(e1)
-        e2 = jop(e1)
-        e3 = geo.tangential(frame[..., 2, :])
-        for w in (e1, e2):
-            e3 = e3 - _vmv(w, geo.g, e3)[..., None] * w
-        e3 /= norm(e3)
-        return np.stack([e1, e2, e3, jop(e3)], axis=-2)
+        # coefficients of the j-partner P(J v) / lambda on each step's frame
+        jmap = e @ steps.omega @ np.swapaxes(e, -1, -2) / steps.lam[..., None, None]
+        x = k[0][:, 0::2]                                 # e1 and e3 coefficients
+        for s, ks in enumerate(k):
+            if s:
+                x = x @ ks
+            e1 = x[:, 0] / np.linalg.norm(x[:, 0], axis=-1, keepdims=True)
+            e2 = (e1[:, None] @ jmap[s])[:, 0]
+            e3 = x[:, 1]
+            for w in (e1, e2):
+                e3 = e3 - np.sum(w * e3, axis=-1, keepdims=True) * w
+            x = np.stack([e1, e3], axis=1)
+        e3 = e3 / np.linalg.norm(e3, axis=-1, keepdims=True)
+        e4 = (e3[:, None] @ jmap[-1])[:, 0]
+        return np.stack([e1, e2, e3, e4], axis=1) @ e[-1]
 
     def _transport(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gauged Cayley frames (..., 4, 8) at parameter points t (..., 4),
         and lambda (...) there."""
+        h = self.patch.fd_step
         targets = t.reshape(-1, 4)
         delta = (targets - self.anchor) / FRAME_STEPS
         steps = np.arange(1, FRAME_STEPS + 1)[:, None]
@@ -480,16 +520,23 @@ class UnitaryFrameField:
             leg = np.empty((FRAME_STEPS, len(first), 4))
             leg[:] = np.where(np.arange(4) < a, ends[first], self.anchor)
             leg[:, :, a] = self.anchor[a] + steps * delta[first, a]
-            if a == 3:
-                leg = np.concatenate([leg, targets[first][None]])
-            geo = _point_geometry(self.patch, leg, self.patch.fd_step)
+            if self.lagrangian_mode:
+                geo = _tangent_frames(self.patch, leg, h)
+            else:
+                # the last leg also holds the targets, whose lambda the gauge needs
+                if a == 3:
+                    leg = np.concatenate([leg, targets[first][None]])
+                geo = _point_geometry(self.patch, leg, h)
+                lam = geo.lam[-1]
+                geo = geo[:FRAME_STEPS]
             # a path that does not move along this axis keeps its frame
             moved = (delta[first, a] != 0)[:, None, None]
-            for s in range(FRAME_STEPS):
-                frame = np.where(moved, self._orthonormalize(frame, geo[s]), frame)
+            frame = np.where(moved, self._carry(frame, geo), frame)
+        if self.lagrangian_mode:
+            lam = _point_geometry(self.patch, targets[first], h).lam
         lead = t.shape[:-1]
         return (self._apply_gauge(frame[group].reshape(lead + (4, DIM))),
-                geo.lam[-1][group].reshape(lead))
+                lam[group].reshape(lead))
 
     def cayley_frame(self, t: np.ndarray) -> np.ndarray:
         """Transported Cayley frames at parameter points (..., 4): (..., 4, 8)."""
@@ -527,16 +574,16 @@ def gamma_form(patch: Patch, t: np.ndarray, gauge: float = 0.0) -> dict:
     field = None
     for start in range(0, len(t), CHUNK // 9):
         part = slice(start, start + CHUNK // 9)
-        geo = _point_geometry(patch, t[part], patch.fd_step, second=True)
-        h_frame, _, _, gamma_chr = _second_fundamental(patch, geo)
-        gamma_a[part] = _gamma_a(geo, _mean(h_frame))
+        geo, gamma_chr, gamma_a[part] = _variant_a(patch, t[part], patch.fd_step)
         if np.isnan(gamma_a[part]).any():
             raise ValueError("gamma needs lambda bounded away from 1")
         field = field or UnitaryFrameField(patch, gauge)
         u0, du = _fd.jet(field.unitary_frame, t[part], patch.fd_step)
         ju = u0 @ standard_structure().j.T
-        # nabla_{d_a} u_k = d_a u_k + Gamma(d_a F, u_k)
-        nab = du + np.einsum("nxbc,nab,nkc->nakx", gamma_chr, geo.tangents, u0)
+        # nabla_{d_a} u_k = d_a u_k + Gamma(d_a F, u_k); Gamma = 0 on the flat chart
+        nab = du
+        if not patch.chart.is_flat:
+            nab = nab + np.einsum("nxbc,nab,nkc->nakx", gamma_chr, geo.tangents, u0)
         # the frame trace computes the phase derivative of the complex volume
         # form along the patch; gamma is its negative
         gamma_b[part] = -np.einsum("nakx,nxy,nky->na", nab, geo.g, ju)
@@ -650,11 +697,18 @@ def coclosure_residual(patch: Patch, t: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _gamma_a_at(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
-    """Variant-A gamma at a stack of parameter points (N, 4), with step h."""
-    rep = point_report(replace(patch, fd_step=h), t)
-    if np.isnan(rep.gamma).any():
+    """Variant-A gamma at a stack of parameter points (N, 4), with step h,
+    computed CHUNK points at a time as point_report does, so that it equals
+    the gamma of point_report(replace(patch, fd_step=h), t) to the bit."""
+    gamma, frames = np.empty_like(t), np.empty((len(t), 4, DIM))
+    for start in range(0, len(t), CHUNK):
+        part = slice(start, start + CHUNK)
+        geo, _, gamma[part] = _variant_a(patch, t[part], h)
+        frames[part] = geo.model_frame
+    require_orthonormal(frames)
+    if np.isnan(gamma).any():
         raise ValueError("gamma undefined (lambda too close to 1)")
-    return rep.gamma
+    return gamma
 
 
 def _dgamma_residual(patch: Patch, t: np.ndarray, h: float,
@@ -925,11 +979,14 @@ def _finite_array(value, shape: tuple, what: str) -> np.ndarray | float:
     return out if shape else float(out)
 
 
-def _affine_patch(frame=None, theta1=0.5 * math.pi, theta2=None, offset=(0.0,) * DIM):
+def _affine_patch(frame=None, theta1=None, theta2=None, offset=(0.0,) * DIM):
+    if frame is not None and (theta1, theta2) != (None, None):
+        raise ValueError("patch 'affine' takes a frame or the angles theta1/theta2, not both")
     if frame is None:
-        # default is the real-axes (special Lagrangian) plane
+        # default is the real-axes (special Lagrangian) plane at angle pi/2
         from .planes import build_plane
         u = realify(np.eye(4, dtype=complex))
+        theta1 = 0.5 * math.pi if theta1 is None else theta1
         frame = build_plane(u, theta1, theta1 if theta2 is None else theta2).frame
 
     def fmap(t):

@@ -303,6 +303,7 @@ def test_bad_patch_spec_exits_2(spec, tmp_path, capsys):
     {"name": "affine", "params": {"theta1": 10 ** 400}},   # an integer beyond the doubles
     {"name": "affine", "fd_step": "0.01"},
     {"name": "affine", "fd_step": True},
+    {"name": "affine", "params": {"frame": np.eye(8)[::2].tolist(), "theta1": 0.3, "theta2": 1.2}},
 ])
 def test_malformed_patch_spec_exits_2(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"

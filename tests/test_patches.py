@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from cayley4.hermitian import standard_structure
-from cayley4.multilinear import blade_distance, restrict_matrix
+from cayley4.multilinear import OrientedPlane4, blade_distance, restrict_matrix
 from cayley4.patches import (
     BUILTIN_PATCHES,
     CHUNK,
+    FRAME_STEPS,
     Patch,
     RankError,
     UnitaryFrameField,
+    _gamma_a_at,
+    _gram_schmidt,
     _lambda_sq_terms,
     _point_geometry,
     builtin_patch,
@@ -28,7 +31,7 @@ from cayley4.patches import (
     verify_theorem_ii,
     verify_theorem_iii,
 )
-from cayley4.planes import _canonical_rotation, _normal_gram
+from cayley4.planes import _canonical_rotation, _normal_gram, canonical_form
 
 T0 = np.array([0.12, -0.2, 0.25, 0.05])
 MIXED_RADII = [1.0, 0.8, 1.3, 0.6]
@@ -547,15 +550,106 @@ def test_transport_runs_each_leg_once_per_path_prefix(name, params, monkeypatch)
 
     def counted(patch, t, h, second=False):
         rows.append(int(np.prod(np.shape(t)[:-1])))
-        return geometry(patch, t, h, second)
+        return frames(patch, t, h, second)
 
-    geometry = patches_module._point_geometry
-    monkeypatch.setattr(patches_module, "_point_geometry", counted)
+    frames = patches_module._tangent_frames
+    monkeypatch.setattr(patches_module, "_tangent_frames", counted)
     stack = ff.cayley_frame(targets)
-    # 3, 5, 14 and 36 distinct prefixes; the last leg also holds the targets
-    assert rows == [36, 60, 168, 468]
+    # 3, 5, 14 and 36 distinct prefixes, 12 steps each; a Lagrangian leg
+    # reads tangent frames only and lambda comes from one batch at the 36
+    # targets, while the last Cayley leg also holds the targets
+    assert rows == ([36, 60, 168, 432, 36] if ff.lagrangian_mode else [36, 60, 168, 468])
     for k, t in enumerate(targets):
         assert np.array_equal(stack[k], ff.cayley_frame(t))
+
+
+def _reference_cayley_frame(patch, t):
+    """Cayley frames at parameter points t (n, 4) transported target by
+    target, re-orthonormalized at every one of the FRAME_STEPS steps per
+    axis: the route the product of transfer maps must reproduce."""
+    h, st = patch.fd_step, standard_structure()
+    anchor = 0.5 * (patch.box[:, 0] + patch.box[:, 1])
+    geo = _point_geometry(patch, anchor, h)
+    lagrangian = bool(geo.lam <= 0.05)
+
+    def step(frame, geo):
+        if lagrangian:
+            v = geo.tangential(frame)
+            return _gram_schmidt(v, restrict_matrix(geo.g, v))[0]
+
+        def norm(v):
+            return np.sqrt(v @ geo.g @ v)
+
+        def jop(v):
+            return geo.tangential(v @ st.j.T) / geo.lam
+
+        e1 = geo.tangential(frame[0])
+        e1 = e1 / norm(e1)
+        e2 = jop(e1)
+        e3 = geo.tangential(frame[2])
+        for w in (e1, e2):
+            e3 = e3 - (w @ geo.g @ e3) * w
+        e3 = e3 / norm(e3)
+        return np.stack([e1, e2, e3, jop(e3)])
+
+    rep = canonical_form(OrientedPlane4(geo.model_frame))
+    seed = step(rep.canonical_tangent_frame @ geo.model_frame.T @ geo.frame, geo)
+    out = []
+    for target in t:
+        frame, point = seed, anchor.copy()
+        delta = (target - anchor) / FRAME_STEPS
+        for a in range(4):
+            if delta[a] == 0:
+                continue
+            leg = np.repeat(point[None], FRAME_STEPS, axis=0)
+            leg[:, a] = anchor[a] + np.arange(1, FRAME_STEPS + 1) * delta[a]
+            legs = _point_geometry(patch, leg, h)
+            for s in range(FRAME_STEPS):
+                frame = step(frame, legs[s])
+            point = leg[-1]
+        out.append(frame)
+    return np.array(out)
+
+
+def _curved_cayley_patch():
+    """The theta = 0.6 affine plane bent by 0.05 (t0^2 + t1 t2) along a unit
+    normal: its anchor at the origin is exactly Cayley, and the transported
+    frames turn by about 2e-2 along the paths."""
+    af = builtin_patch("affine", {"theta1": 0.6, "theta2": 0.6})
+    normal = np.linalg.svd(af.evaluate(np.eye(4)))[2][-1]
+
+    def fmap(t):
+        bend = t[..., 0] * t[..., 0] + t[..., 1] * t[..., 2]
+        return af.evaluate(t) + 0.05 * bend[..., None] * normal
+
+    return replace(af, name="curved-cayley", map_fn=fmap)
+
+
+@pytest.mark.parametrize("name", ["lagrangian-graph", "fs-lagrangian-torus", "curved-cayley"])
+def test_transfer_products_match_per_step_reorthonormalization(name):
+    p = _curved_cayley_patch() if name == "curved-cayley" else builtin_patch(name)
+    ff = UnitaryFrameField(p)
+    assert ff.lagrangian_mode == (name != "curved-cayley")
+    targets = p.probe_points(per_axis=2, shrink=0.5)[::3]
+    got = ff.cayley_frame(targets)
+    want = _reference_cayley_frame(p, targets)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the frames do move along the paths, so the comparison is not vacuous
+    assert np.max(np.abs(want - ff._seed)) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["lagrangian-graph", "fs-real-slice"])
+def test_theorem_iii_gamma_kernel_matches_point_report(name):
+    p = builtin_patch(name)
+    probes = p.probe_points(per_axis=2, shrink=0.5)
+    for k in range(3):
+        h = p.fd_step / 2 ** k
+        # the stencil points of one Theorem III level: more than one CHUNK
+        t = np.concatenate([probes + h * e for e in np.eye(4)]
+                           + [probes - h * e for e in np.eye(4)])
+        assert len(t) > CHUNK
+        want = point_report(replace(p, fd_step=h), t).gamma
+        assert np.array_equal(_gamma_a_at(p, t, h), want)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
