@@ -12,9 +12,25 @@ the same to the last bit for every caller.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+
+def stencil_rows(n: int, second: bool = False) -> int:
+    """Points of one `jet` stencil in n dimensions: 1 + 2n, and 2n(n - 1)
+    more for the mixed second differences (9 and 33 for n = 4)."""
+    return 1 + 2 * n + (2 * n * (n - 1) if second else 0)
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), read-only: the axis pairs i < j of the mixed
+    stencil."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def _axis_offsets(x: np.ndarray, h: float) -> np.ndarray:
@@ -25,8 +41,8 @@ def _axis_offsets(x: np.ndarray, h: float) -> np.ndarray:
 
 def _lead(values: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """Move the k stencil axes of values behind the stack axes of x."""
-    src = tuple(range(k))
-    return np.moveaxis(values, src, tuple(x.ndim - 1 + a for a in src))
+    s = x.ndim - 1
+    return values.transpose((*range(k, k + s), *range(k), *range(k + s, values.ndim)))
 
 
 def differences(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
@@ -52,7 +68,7 @@ def jet(f: Callable, x: np.ndarray, h: float, second: bool = False):
     xp, xm = x + e, x - e
     stacks = [x[None], xp, xm]
     if second:
-        iu, ju = np.triu_indices(n, 1)
+        iu, ju = _pairs(n)
         stacks += [xp[iu] + e[ju], xp[iu] - e[ju], xm[iu] + e[ju], xm[iu] - e[ju]]
     vals = f(np.concatenate(stacks))
     f0, fp, fm = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]

@@ -24,14 +24,15 @@ whose results are a single plane or scalars, take a single point (4,).
 Theorems I and II read one PointReport, over the grid unless the caller
 passes one.  A patch map takes parameter points (..., 4) to
 chart points (..., 8) (Patch.evaluate rejects any other output shape); a
-derivative stencil calls it once on all of its points, and grid-wide
-checks run CHUNK points per batch to bound memory.  gamma_form computes
-the geometry of its points once, a batch at a time; the frame transport
-moves all of its targets in lockstep, and each axis leg is one geometry
-batch over the distinct path prefixes of the targets, carried as one
-product of 4 x 4 transfer maps; Theorem III evaluates all probes of a
-step-halving level in one pass, reads variant-A gamma from the kernel of
-gamma_form, and the Ricci form at the probes once per run.
+derivative stencil calls it once on all of its points.  Geometry batches
+hold CHUNK map evaluations (stencil rows) to bound memory: 64 points in
+point_report, 7 in gamma_form and 234 in l2_lambda_invariant.
+gamma_form computes the geometry of its points once, a batch at a time;
+the frame transport moves all of its targets in lockstep, and each axis
+leg is one geometry batch over the distinct path prefixes of the targets,
+carried as one product of 4 x 4 transfer maps; Theorem III evaluates all
+probes of a step-halving level in one pass, reads variant-A gamma from
+the kernel of gamma_form, and the Ricci form at the probes once per run.
 
 All finite differencing is central (the `_fd` stencils) with the patch's
 fd_step, its only step: dataclasses.replace(patch, fd_step=h) gives the
@@ -98,10 +99,15 @@ TRIPLE_SEED = 0         # verify_h_symmetry: seed of the random coordinate combi
 # Residuals below this floor count as converged in order fits.
 RESIDUAL_FLOOR = 1e-9
 
-# Parameter points per batch in grid-wide routines.  Bounds the memory of
-# the stencil and chart intermediates: 64 points cost about 1.6 MiB of
-# peak memory and run as fast as one batch of a whole 5^4 grid.
-CHUNK = 64
+# Map evaluations (stencil rows) per geometry batch, 64 points of 33 rows;
+# a routine runs CHUNK // (its rows per point) points per batch: 64 in
+# point_report and the Theorem III gamma kernel, 7 in gamma_form (9
+# targets per point, each of 33 rows) and 234 in l2_lambda_invariant (9
+# rows).  Traced peaks stay below 1.8 MiB, while each batch has a fixed
+# cost (0.18-0.34 ms for one point of 33 rows).
+SECOND_ROWS = _fd.stencil_rows(4, second=True)
+FIRST_ROWS = _fd.stencil_rows(4)
+CHUNK = 64 * SECOND_ROWS
 
 # Steps per parameter axis of the frame transport paths.
 FRAME_STEPS = 12
@@ -109,6 +115,12 @@ FRAME_STEPS = 12
 
 class RankError(ValueError):
     pass
+
+
+def _batches(n: int, rows_per_point: int):
+    """Slices of a stack of n points, CHUNK // rows_per_point points each."""
+    size = CHUNK // rows_per_point
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def default_cayley_tol(h: float) -> float:
@@ -187,6 +199,12 @@ class Patch:
 # Point-level geometry
 # ---------------------------------------------------------------------------
 
+# The flat chart's metric (shared, so read-only) and the rank test's shift.
+_FLAT_METRIC = np.eye(DIM)
+_FLAT_METRIC.flags.writeable = False
+_RANK_SHIFT = RANK_TOL * RANK_TOL * np.eye(4)
+
+
 def _second_derivatives(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
     """Hessian of the map at parameter points (..., 4): (..., 4, 4, 8)."""
     return _fd.hessian(patch.evaluate, t, h)
@@ -256,7 +274,7 @@ def _tangent_frames(patch: Patch, t: np.ndarray, h: float,
     hmat = None
     if patch.chart.is_flat:
         patch.chart.check_inside(p)
-        g = np.broadcast_to(np.eye(DIM), p.shape[:-1] + (DIM, DIM))
+        g = np.broadcast_to(_FLAT_METRIC, p.shape[:-1] + (DIM, DIM))
     else:
         hmat = patch.chart.hermitian_at(p)
         g = metric_from_hermitian(hmat)
@@ -267,7 +285,7 @@ def _tangent_frames(patch: Patch, t: np.ndarray, h: float,
     # the smallest singular value of dF is below RANK_TOL exactly when
     # gram - RANK_TOL^2 I is not positive definite
     try:
-        np.linalg.cholesky(gram - RANK_TOL * RANK_TOL * np.eye(4))
+        np.linalg.cholesky(gram - _RANK_SHIFT)
     except np.linalg.LinAlgError:
         raise RankError("dF loses rank at this point")
     if sec and not np.isfinite(sec[0]).all():
@@ -334,12 +352,14 @@ class PointReport:
 def _second_fundamental(patch: Patch, geo: _PointGeometry):
     """(h-tensor in the orthonormal frame, nabla and h of coordinate fields,
     Christoffel symbols at the points); geo must carry second derivatives.
-    On the flat chart the symbols are exact zeros and nabla is the Hessian."""
-    gamma_chr = patch.chart.christoffel_at(geo.p)
+    On the flat chart the symbols vanish, are not computed (None) and nabla
+    is the Hessian."""
     tang = geo.tangents
     lead = tang.shape[:-2]
     nab = geo.sec
+    gamma_chr = None
     if not patch.chart.is_flat:
+        gamma_chr = patch.chart.christoffel_at(geo.p)
         # Gamma(d_i F, d_j F)^a as batched matrix products:
         # half[a, b, j] = Gamma^a_bc T[j, c], then [a, i, j] = T[i, b] half[a, b, j]
         half = gamma_chr.reshape(lead + (DIM * DIM, DIM)) @ np.swapaxes(tang, -1, -2)
@@ -365,8 +385,9 @@ def _gamma_a(geo: _PointGeometry, mean: np.ndarray) -> np.ndarray:
 
 
 def _variant_a(patch: Patch, t: np.ndarray, h: float):
-    """(geometry with second derivatives, Christoffel symbols, variant-A
-    gamma) at a stack of n parameter points t (n, 4), with step h."""
+    """(geometry with second derivatives, Christoffel symbols (None on the
+    flat chart), variant-A gamma) at a stack of n parameter points t (n, 4),
+    with step h."""
     geo = _point_geometry(patch, t, h, second=True)
     h_frame, _, _, gamma_chr = _second_fundamental(patch, geo)
     return geo, gamma_chr, _gamma_a(geo, _mean(h_frame))
@@ -411,14 +432,14 @@ def _report_fields(patch: Patch, t: np.ndarray) -> dict:
 
 def point_report(patch: Patch, t: np.ndarray) -> PointReport:
     """Tangent plane, angles, second fundamental form and variant-A gamma at
-    a stack of parameter points t (N, 4), computed CHUNK points at a time."""
+    a stack of parameter points t (N, 4), computed 64 points per batch."""
     t = _stack_of_points(t)
     f: dict = {}
-    for start in range(0, len(t), CHUNK):
-        for k, v in _report_fields(patch, t[start:start + CHUNK]).items():
+    for part in _batches(len(t), SECOND_ROWS):
+        for k, v in _report_fields(patch, t[part]).items():
             if k not in f:
                 f[k] = np.empty((len(t),) + v.shape[1:])
-            f[k][start:start + CHUNK] = v
+            f[k][part] = v
     require_orthonormal(f["tangent_plane"])
     return PointReport(**f)
 
@@ -444,9 +465,10 @@ class UnitaryFrameField:
     at the leg's end.  In the Lagrangian regime that is the Gram-Schmidt of
     the whole product, which is exact because Gram-Schmidt commutes with the
     lower-triangular factors of the per-step re-orthonormalizations, and the
-    leg needs only tangent frames and metrics; lambda is then computed at the
-    targets alone.  Otherwise e1 is the normalized prefix product and e3 the
-    product of the per-step projections away from e1 and e2.  All targets of
+    leg needs only tangent frames and metrics; lambda, which only the
+    unitary gauge needs, is then computed at the distinct targets alone.
+    Otherwise e1 is the normalized prefix product and e3 the product of the
+    per-step projections away from e1 and e2.  All targets of
     a call move in lockstep.  Leg a of a path depends only on the target's
     coordinates 0..a, so each axis leg is one geometry batch over the
     distinct prefixes of the targets.  Stencils use the patch's fd_step.
@@ -499,9 +521,10 @@ class UnitaryFrameField:
         e4 = (e3[:, None] @ jmap[-1])[:, 0]
         return np.stack([e1, e2, e3, e4], axis=1) @ e[-1]
 
-    def _transport(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _transport(self, t: np.ndarray,
+                   with_lambda: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """Gauged Cayley frames (..., 4, 8) at parameter points t (..., 4),
-        and lambda (...) there."""
+        and with with_lambda lambda (...) there (else None)."""
         h = self.patch.fd_step
         targets = t.reshape(-1, 4)
         delta = (targets - self.anchor) / FRAME_STEPS
@@ -532,15 +555,17 @@ class UnitaryFrameField:
             # a path that does not move along this axis keeps its frame
             moved = (delta[first, a] != 0)[:, None, None]
             frame = np.where(moved, self._carry(frame, geo), frame)
+        lead = t.shape[:-1]
+        frames = self._apply_gauge(frame[group].reshape(lead + (4, DIM)))
+        if not with_lambda:
+            return frames, None
         if self.lagrangian_mode:
             lam = _point_geometry(self.patch, targets[first], h).lam
-        lead = t.shape[:-1]
-        return (self._apply_gauge(frame[group].reshape(lead + (4, DIM))),
-                lam[group].reshape(lead))
+        return frames, lam[group].reshape(lead)
 
     def cayley_frame(self, t: np.ndarray) -> np.ndarray:
         """Transported Cayley frames at parameter points (..., 4): (..., 4, 8)."""
-        return self._transport(np.asarray(t, dtype=float))[0]
+        return self._transport(np.asarray(t, dtype=float), with_lambda=False)[0]
 
     def _apply_gauge(self, frame: np.ndarray) -> np.ndarray:
         if self.gauge == 0.0:
@@ -552,7 +577,7 @@ class UnitaryFrameField:
 
     def unitary_frame(self, t: np.ndarray) -> np.ndarray:
         """Unitary gauge of the transported frame at parameter points (..., 4)."""
-        frames, lam = self._transport(np.asarray(t, dtype=float))
+        frames, lam = self._transport(np.asarray(t, dtype=float), with_lambda=True)
         if np.any(lam >= 1.0 - LAMBDA_GUARD):
             raise ValueError("near-complex point: no unitary gauge")
         return unitary_gauge(frames, lam)
@@ -566,14 +591,13 @@ def gamma_form(patch: Patch, t: np.ndarray, gauge: float = 0.0) -> dict:
     unitary frame of a UnitaryFrameField with the given gauge.  Totally
     real Cayley points only.  gamma_a and gamma_b are (N, 4), lambda (N,);
     max_abs_diff is the largest gap over all points.  Each point moves 9
-    transport targets (its frame stencil), so points run CHUNK // 9 at a
-    time.
+    transport targets (its frame stencil), each costed as 33 map rows, so
+    points run CHUNK // (9 * 33) = 7 at a time.
     """
     t = _stack_of_points(t)
     gamma_a, gamma_b, lam = np.empty_like(t), np.empty_like(t), np.empty(len(t))
     field = None
-    for start in range(0, len(t), CHUNK // 9):
-        part = slice(start, start + CHUNK // 9)
+    for part in _batches(len(t), FIRST_ROWS * SECOND_ROWS):
         geo, gamma_chr, gamma_a[part] = _variant_a(patch, t[part], patch.fd_step)
         if np.isnan(gamma_a[part]).any():
             raise ValueError("gamma needs lambda bounded away from 1")
@@ -582,7 +606,7 @@ def gamma_form(patch: Patch, t: np.ndarray, gauge: float = 0.0) -> dict:
         ju = u0 @ standard_structure().j.T
         # nabla_{d_a} u_k = d_a u_k + Gamma(d_a F, u_k); Gamma = 0 on the flat chart
         nab = du
-        if not patch.chart.is_flat:
+        if gamma_chr is not None:
             nab = nab + np.einsum("nxbc,nab,nkc->nakx", gamma_chr, geo.tangents, u0)
         # the frame trace computes the phase derivative of the complex volume
         # form along the patch; gamma is its negative
@@ -680,8 +704,9 @@ def coclosure_residual(patch: Patch, t: np.ndarray) -> float:
     fp_a, fm_a = gp.frame[a, a], gm.frame[a, a]          # e_a at t +- h e_a
     # D_{e_a} e_a, with the Gram-Schmidt frame as the frame field
     dframe = (fp_a - fm_a) / (2.0 * h)
-    wamb = w @ geo.tangents
-    d_ea = geo.tangential(dframe + np.einsum("xbc,ab,ac->ax", gamma_chr, wamb, geo.frame))
+    if gamma_chr is not None:
+        dframe = dframe + np.einsum("xbc,ab,ac->ax", gamma_chr, w @ geo.tangents, geo.frame)
+    d_ea = geo.tangential(dframe)
     fp = np.einsum("ax,axy,aby->ab", fp_a, gp.omega, gp.tangents)
     fm = np.einsum("ax,axy,aby->ab", fm_a, gm.omega, gm.tangents)
     d_along = (fp - fm) / (2.0 * h)
@@ -698,11 +723,10 @@ def coclosure_residual(patch: Patch, t: np.ndarray) -> float:
 
 def _gamma_a_at(patch: Patch, t: np.ndarray, h: float) -> np.ndarray:
     """Variant-A gamma at a stack of parameter points (N, 4), with step h,
-    computed CHUNK points at a time as point_report does, so that it equals
-    the gamma of point_report(replace(patch, fd_step=h), t) to the bit."""
+    in the batches of point_report, so that it equals the gamma of
+    point_report(replace(patch, fd_step=h), t) to the bit."""
     gamma, frames = np.empty_like(t), np.empty((len(t), 4, DIM))
-    for start in range(0, len(t), CHUNK):
-        part = slice(start, start + CHUNK)
+    for part in _batches(len(t), SECOND_ROWS):
         geo, _, gamma[part] = _variant_a(patch, t[part], h)
         frames[part] = geo.model_frame
     require_orthonormal(frames)
@@ -927,10 +951,10 @@ def verify_theorem_ii(patch: Patch, report: PointReport | None = None) -> Einste
 
 def _lambda_sq_terms(patch: Patch, points: np.ndarray) -> np.ndarray:
     """Rows (lambda^2, volume density, Pfaffian of the pulled-back omega)
-    over the points (N, 4), computed CHUNK points at a time."""
+    over the points (N, 4), computed 234 points per batch."""
     parts = []
-    for start in range(0, len(points), CHUNK):
-        geo = _point_geometry(patch, points[start:start + CHUNK], patch.fd_step)
+    for part in _batches(len(points), FIRST_ROWS):
+        geo = _point_geometry(patch, points[part], patch.fd_step)
         dvol = np.sqrt(np.maximum(np.linalg.det(restrict_matrix(geo.g, geo.tangents)), 0.0))
         parts.append([geo.lam ** 2, dvol, pfaffian4(restrict_matrix(geo.omega, geo.tangents))])
     return np.concatenate(parts, axis=1)

@@ -81,3 +81,16 @@ def test_error_quarters_under_step_halving(which):
     stencil = (lambda f, x, h: _fd.jet(f, x, h)[1], _fd.hessian)[which]
     errs = [np.max(np.abs(stencil(_smooth, x, h) - exact)) for h in (2e-2, 1e-2)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
+
+
+@pytest.mark.parametrize("second", [False, True])
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_stencil_rows_counts_the_points_of_one_jet_call(n, second):
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.sum(x * x, axis=-1)
+
+    _fd.jet(f, np.zeros((3, n)), 0.1, second)
+    assert calls == [(_fd.stencil_rows(n, second), 3, n)]

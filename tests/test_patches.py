@@ -6,12 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cayley4.ambient import KahlerChart
 from cayley4.hermitian import standard_structure
 from cayley4.multilinear import OrientedPlane4, blade_distance, restrict_matrix
 from cayley4.patches import (
     BUILTIN_PATCHES,
     CHUNK,
+    FIRST_ROWS,
     FRAME_STEPS,
+    SECOND_ROWS,
     Patch,
     RankError,
     UnitaryFrameField,
@@ -35,6 +38,8 @@ from cayley4.planes import _canonical_rotation, _normal_gram, canonical_form
 
 T0 = np.array([0.12, -0.2, 0.25, 0.05])
 MIXED_RADII = [1.0, 0.8, 1.3, 0.6]
+# points per batch of point_report and the Theorem III gamma kernel
+REPORT_BATCH = CHUNK // SECOND_ROWS
 
 
 # ---------------------------------------------------------------- pointwise
@@ -196,7 +201,7 @@ def test_gamma_form_chunks_match_one_batch(monkeypatch):
 
     lg = builtin_patch("lagrangian-graph")
     pts = lg.probe_points()
-    assert len(pts) > CHUNK
+    assert len(pts) > CHUNK // (FIRST_ROWS * SECOND_ROWS)
     chunked = gamma_form(lg, pts)
     # all 81 points, and their 9 * 81 transport targets, in one batch
     monkeypatch.setattr(patches_module, "CHUNK", 10 ** 6)
@@ -361,6 +366,32 @@ def test_l2_lambda_invariant_perturbed_torus():
     out = l2_lambda_invariant(p)
     assert out["lambda_sq_integral"] == pytest.approx(
         out["half_omega_sq_integral"], abs=1e-4)
+
+
+@pytest.mark.parametrize("name", ["product-torus", "fs-lagrangian-torus"])
+def test_l2_lambda_invariant_chunks_match_one_batch(name, monkeypatch):
+    import cayley4.patches as patches_module
+
+    p = builtin_patch(name, grid_n=(6, 6, 6, 6))
+    assert p.grid_points().shape[0] > CHUNK // FIRST_ROWS
+    chunked = l2_lambda_invariant(p)
+    # all 1296 points in one batch
+    monkeypatch.setattr(patches_module, "CHUNK", 10 ** 6)
+    assert l2_lambda_invariant(p) == chunked
+
+
+def test_l2_lambda_invariant_memory_is_bounded_by_the_chunk():
+    import tracemalloc
+
+    p = builtin_patch("fs-lagrangian-torus")
+    tracemalloc.start()
+    try:
+        l2_lambda_invariant(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # batches of 234 points peaked at 1.7 MiB, one batch of all 6561 at 20 MiB
+    assert peak < 4 * 2 ** 20
 
 
 def test_l2_lambda_invariant_needs_periodic_patch():
@@ -556,8 +587,13 @@ def test_transport_runs_each_leg_once_per_path_prefix(name, params, monkeypatch)
     monkeypatch.setattr(patches_module, "_tangent_frames", counted)
     stack = ff.cayley_frame(targets)
     # 3, 5, 14 and 36 distinct prefixes, 12 steps each; a Lagrangian leg
-    # reads tangent frames only and lambda comes from one batch at the 36
-    # targets, while the last Cayley leg also holds the targets
+    # reads tangent frames only and cayley_frame needs no lambda, while the
+    # last Cayley leg also holds the targets
+    assert rows == ([36, 60, 168, 432] if ff.lagrangian_mode else [36, 60, 168, 468])
+    # the unitary gauge needs lambda: in the Lagrangian regime one batch at
+    # the 36 targets
+    rows.clear()
+    ff.unitary_frame(targets)
     assert rows == ([36, 60, 168, 432, 36] if ff.lagrangian_mode else [36, 60, 168, 468])
     for k, t in enumerate(targets):
         assert np.array_equal(stack[k], ff.cayley_frame(t))
@@ -644,10 +680,10 @@ def test_theorem_iii_gamma_kernel_matches_point_report(name):
     probes = p.probe_points(per_axis=2, shrink=0.5)
     for k in range(3):
         h = p.fd_step / 2 ** k
-        # the stencil points of one Theorem III level: more than one CHUNK
+        # the stencil points of one Theorem III level: more than one batch
         t = np.concatenate([probes + h * e for e in np.eye(4)]
                            + [probes - h * e for e in np.eye(4)])
-        assert len(t) > CHUNK
+        assert len(t) > REPORT_BATCH
         want = point_report(replace(p, fd_step=h), t).gamma
         assert np.array_equal(_gamma_a_at(p, t, h), want)
 
@@ -667,11 +703,11 @@ def test_builtin_maps_are_exact_row_by_row(name):
 @pytest.mark.parametrize("name", ["perturbed-real-slice", "fs-lagrangian-torus"])
 def test_point_report_batch_matches_single_points(name):
     p = builtin_patch(name)
-    pts = p.grid_points()[:CHUNK + 13]           # not a multiple of the chunk
+    pts = p.grid_points()[:REPORT_BATCH + 13]    # not a multiple of the batch
     batch = point_report(p, pts)
     assert batch.lam.shape == (len(pts),)
     assert batch.tangent_plane.shape == (len(pts), 4, 8)
-    for k in (0, CHUNK - 1, CHUNK, len(pts) - 1):
+    for k in (0, REPORT_BATCH - 1, REPORT_BATCH, len(pts) - 1):
         one = point_report(p, pts[k][None])
         assert one.lam.shape == (1,)
         for field in ("point", "frame_chart", "lam", "cos1", "cos2", "cayley_dev",
@@ -704,6 +740,24 @@ def test_flat_chart_matches_its_differencing_route(name):
     assert verify_theorem_iii(flat).residuals == verify_theorem_iii(ref).residuals
     if all(flat.periodic):
         assert l2_lambda_invariant(flat) == l2_lambda_invariant(ref)
+    for t in probes[[0, 7, 15]]:
+        assert coclosure_residual(flat, t) == coclosure_residual(ref, t)
+        assert verify_h_symmetry(flat, t) == verify_h_symmetry(ref, t)
+
+
+def test_flat_chart_builds_no_christoffel_tensor(monkeypatch):
+    """No flat-chart route reads Christoffel symbols, which vanish there."""
+    def refuse(self, p):
+        raise AssertionError(f"christoffel_at called on the {self.name} chart")
+
+    lg = builtin_patch("lagrangian-graph")
+    monkeypatch.setattr(KahlerChart, "christoffel_at", refuse)
+    probes = lg.probe_points(per_axis=2, shrink=0.5)
+    point_report(lg, probes)
+    gamma_form(lg, probes[:2])
+    verify_theorem_iii(lg)
+    coclosure_residual(lg, T0)
+    verify_h_symmetry(lg, T0)
 
 
 def test_row_only_map_is_rejected_with_one_line_error():
